@@ -40,7 +40,9 @@
 # server must return a validated snapshot) chained into a faulted
 # replay that must leave exactly one parseable flight bundle holding
 # the model-drift trigger and preceding spans, and the flight
-# recorder's trigger-storm tests under ASan+UBSan and TSan.
+# recorder's trigger-storm tests under ASan+UBSan and TSan. The CLI
+# test binary also runs under ASan+UBSan: it feeds malformed flags to
+# every serving command.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -353,7 +355,7 @@ echo
 echo "== tier 1: fault-injection tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCHAOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)" --target test_faults test_net \
-    test_flight
+    test_flight test_cli
 ./build-asan/tests/test_faults
 
 echo
@@ -368,6 +370,13 @@ echo "== tier 1: wire-protocol fuzz + ingest tests under ASan+UBSan =="
 # under ASan any over-read in the framing state machine is fatal
 # instead of silent.
 ./build-asan/tests/test_net
+
+echo
+echo "== tier 1: CLI tests under ASan+UBSan =="
+# The CLI is where untrusted flags and files enter the process: the
+# malformed-flag table, the replay commands and an in-process
+# serve --listen + loadgen pair must run clean.
+./build-asan/tests/test_cli
 
 echo
 echo "== tier 1: parallel tests under TSan =="

@@ -1,10 +1,14 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <optional>
@@ -59,18 +63,76 @@ struct ParsedArgs
         const auto it = flags.find(key);
         return it != flags.end() ? it->second : fallback;
     }
+
+    /** True when --key is "1" or "true". */
+    bool flagSet(const std::string &key) const
+    {
+        const std::string value = flagOr(key, "0");
+        return value == "1" || value == "true";
+    }
+
+    /**
+     * --key as a whole integer in [min, max], or @p fallback when the
+     * flag is absent. Raises RecoverableError naming the flag on
+     * anything else: signs, trailing garbage, out-of-range values.
+     */
+    std::uint64_t
+    integer(const std::string &key, std::uint64_t fallback,
+            std::uint64_t min = 0,
+            std::uint64_t max =
+                std::numeric_limits<std::uint64_t>::max()) const
+    {
+        const auto it = flags.find(key);
+        if (it == flags.end())
+            return fallback;
+        const std::string &text = it->second;
+        std::uint64_t value = 0;
+        const auto [end, ec] = std::from_chars(
+            text.data(), text.data() + text.size(), value);
+        if (ec != std::errc() || end != text.data() + text.size() ||
+            value < min || value > max) {
+            raise("--" + key + " must be an integer " +
+                  (max == std::numeric_limits<std::uint64_t>::max()
+                       ? ">= " + std::to_string(min)
+                       : "in " + std::to_string(min) + ".." +
+                             std::to_string(max)) +
+                  ", got '" + text + "'");
+        }
+        return value;
+    }
+
+    /**
+     * --key as a finite number >= 0, or @p fallback when absent;
+     * raises RecoverableError naming the flag otherwise.
+     */
+    double number(const std::string &key, double fallback) const
+    {
+        const auto it = flags.find(key);
+        if (it == flags.end())
+            return fallback;
+        const std::string &text = it->second;
+        double value = 0.0;
+        const auto [end, ec] = std::from_chars(
+            text.data(), text.data() + text.size(), value);
+        if (ec != std::errc() || end != text.data() + text.size() ||
+            !std::isfinite(value) || value < 0.0) {
+            raise("--" + key + " must be a finite number >= 0, got '" +
+                  text + "'");
+        }
+        return value;
+    }
 };
 
-// Defined with the dispatch plumbing below.
-void writeTextFile(const std::string &path,
-                   const std::string &content);
-
-// Defined with the autopilot plumbing below.
-Dataset injectStuckCounters(const Dataset &data,
-                            const std::vector<std::string> &targets,
-                            std::size_t onsetTick,
-                            std::size_t staggerTicks,
-                            std::uint64_t seed);
+/** Write @p content to @p path, raising RecoverableError on failure. */
+void
+writeTextFile(const std::string &path, const std::string &content)
+{
+    std::ofstream file(path);
+    raiseIf(!file, "cannot write " + path);
+    file << content;
+    file.flush();
+    raiseIf(!file.good(), "failed writing " + path);
+}
 
 /** Split args into positionals and --key value flags. */
 std::optional<ParsedArgs>
@@ -190,9 +252,14 @@ cmdHelp(std::ostream &out)
            "data.csv (--model M | --fleet F))\n"
         << "      [--ticks N] [--seed S] [--worst N] [--path "
            "dc0/row1] [--rollup-out F.jsonl]\n"
-        << "      [--group-size N] [--platform P]\n"
+        << "      [--group-size N] [--platform P] [--window N] "
+           "[--warmup N]\n"
+        << "      [--drift-lambda L] [--drift-delta D]\n"
         << "  report <data.csv>                  markdown dataset "
            "summary\n"
+        << "\nnumeric flags take a plain non-negative number; a "
+           "malformed one\n(\"abc\", \"-5\", \"12x\") exits 2 with an "
+           "error naming the flag.\n"
         << "\nglobal flags (any subcommand):\n"
         << "  --log-level L      debug|info|warn|error|silent\n"
         << "  --trace-out F      write a Chrome trace-event JSON "
@@ -292,12 +359,10 @@ cmdCollect(const ParsedArgs &args, std::ostream &out,
         return 2;
     }
     CampaignConfig config;
-    config.numMachines = static_cast<size_t>(
-        std::stoul(args.flagOr("machines", "5")));
-    config.runsPerWorkload = static_cast<size_t>(
-        std::stoul(args.flagOr("runs", "5")));
-    config.seed = std::stoull(args.flagOr("seed", "2012"));
-    config.run.durationScale = std::stod(args.flagOr("scale", "1.0"));
+    config.numMachines = args.integer("machines", 5);
+    config.runsPerWorkload = args.integer("runs", 5);
+    config.seed = args.integer("seed", 2012);
+    config.run.durationScale = args.number("scale", 1.0);
 
     const MachineClass mc = machineClassFromName(args.positional[1]);
     out << "collecting " << machineClassName(mc) << " x"
@@ -320,7 +385,7 @@ cmdSelect(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     }
     const Dataset data = loadDataset(args.positional[1]);
     FeatureSelectionConfig config;
-    Rng rng(std::stoull(args.flagOr("seed", "1")));
+    Rng rng(args.integer("seed", 1));
     const FeatureSelectionResult selection =
         selectClusterFeatures(data, config, rng);
 
@@ -353,7 +418,7 @@ featureSetFor(const ParsedArgs &args, const Dataset &data,
     }
     out << "running Algorithm 1 feature selection...\n";
     FeatureSelectionConfig config;
-    Rng rng(std::stoull(args.flagOr("seed", "1")));
+    Rng rng(args.integer("seed", 1));
     return clusterFeatureSet(selectClusterFeatures(data, config, rng));
 }
 
@@ -396,6 +461,9 @@ cmdEvaluate(const ParsedArgs &args, std::ostream &out,
     if (!ok)
         return 2;
 
+    EvaluationConfig config;
+    config.folds = args.integer("folds", 5, 2);
+    config.seed = args.integer("seed", 12345);
     const Dataset data = loadDataset(args.positional[1]);
     const FeatureSet features = featureSetFor(args, data, out);
 
@@ -413,10 +481,6 @@ cmdEvaluate(const ParsedArgs &args, std::ostream &out,
     for (const auto &[machine, range] : ranges)
         envelopes[machine] = {range.first, range.second};
 
-    EvaluationConfig config;
-    config.folds = static_cast<size_t>(
-        std::stoul(args.flagOr("folds", "5")));
-    config.seed = std::stoull(args.flagOr("seed", "12345"));
     const EvaluationOutcome outcome =
         evaluateTechnique(data, features, type, envelopes, config);
     if (!outcome.valid) {
@@ -516,6 +580,221 @@ syntheticServeModel(uint64_t seed, double baseW)
         std::move(model));
 }
 
+/** "machine0" .. "machine<n-1>": the ids listen mode registers. */
+std::vector<std::string>
+numberedMachineIds(std::size_t n)
+{
+    std::vector<std::string> ids;
+    for (std::size_t i = 0; i < n; ++i)
+        ids.push_back("machine" + std::to_string(i));
+    return ids;
+}
+
+/** True when exactly one of --model and --fleet names the models. */
+bool
+oneModelSource(const ParsedArgs &args)
+{
+    return args.flagOr("model", "").empty() !=
+           args.flagOr("fleet", "").empty();
+}
+
+/** --shards / --queue-capacity / --snapshot-every, for `serve`. */
+serve::FleetServerConfig
+serverConfig(const ParsedArgs &args)
+{
+    serve::FleetServerConfig config;
+    config.numShards = args.integer("shards", 4);
+    config.queueCapacity = args.integer("queue-capacity", 8192);
+    config.snapshotEverySamples = args.integer("snapshot-every", 0);
+    return config;
+}
+
+/** --window / --warmup / --drift-lambda / --drift-delta. */
+monitor::QualityMonitorConfig
+qualityConfig(const ParsedArgs &args)
+{
+    monitor::QualityMonitorConfig config;
+    config.windowSamples = args.integer("window", 60);
+    config.warmupSamples = args.integer("warmup", 600);
+    config.driftLambda = args.number("drift-lambda", 60.0);
+    config.driftDelta = args.number("drift-delta", 0.5);
+    return config;
+}
+
+/**
+ * Register the serving fleet on @p server: every --fleet manifest
+ * entry with its own model, else the --model file (the synthetic
+ * model when neither is given) deployed to each of @p ids. --platform
+ * tunes every machine's online estimator.
+ * @return The first model's feature set (the inputs of autopilot's
+ *         pooled quarantine substitute).
+ */
+FeatureSet
+addFleetMachines(serve::FleetServer &server, const ParsedArgs &args,
+                 const std::vector<std::string> &ids)
+{
+    OnlineEstimatorConfig estimator;
+    const std::string platform = args.flagOr("platform", "");
+    if (!platform.empty()) {
+        estimator = OnlineEstimatorConfig::forSpec(
+            machineSpecFor(machineClassFromName(platform)));
+    }
+    const std::string fleetPath = args.flagOr("fleet", "");
+    if (!fleetPath.empty()) {
+        std::vector<serve::FleetMachine> fleet =
+            serve::loadFleetModels(fleetPath);
+        raiseIf(fleet.empty(), "empty fleet manifest " + fleetPath);
+        FeatureSet features = fleet.front().model.featureSet();
+        for (serve::FleetMachine &machine : fleet) {
+            server.addMachine(machine.id, std::move(machine.model),
+                              estimator);
+        }
+        return features;
+    }
+    const std::string modelPath = args.flagOr("model", "");
+    const MachinePowerModel model =
+        modelPath.empty() ? syntheticServeModel(7, 25.0)
+                          : loadMachineModelFile(modelPath);
+    for (const std::string &id : ids)
+        server.addMachine(id, model, estimator);
+    return model.featureSet();
+}
+
+/**
+ * @p data with the --inject-stuck machines' ("machine<N>;...")
+ * counter vectors passed through a stuck-counter DriftStorm from
+ * --inject-at on, staggered by --inject-stagger (unchanged when the
+ * flag is absent). Metered power stays true — that divergence is what
+ * the monitor detects. Rows keep their recorded order, with a
+ * per-machine tick counter driving the storm.
+ */
+Dataset
+injectedTrace(const ParsedArgs &args, Dataset data)
+{
+    std::vector<std::string> targets;
+    for (const std::string &part :
+         split(args.flagOr("inject-stuck", ""), ';')) {
+        const std::string id = trim(part);
+        if (!id.empty())
+            targets.push_back(id);
+    }
+    if (targets.empty())
+        return data;
+
+    DriftStormConfig stormConfig;
+    stormConfig.machines = targets.size();
+    stormConfig.onsetTick = args.integer("inject-at", 0);
+    stormConfig.staggerTicks = args.integer("inject-stagger", 0);
+    stormConfig.seed = args.integer("seed", 2012);
+    DriftStorm storm(stormConfig);
+
+    Dataset faulted(data.featureNames());
+    std::map<int, std::size_t> tickOf;
+    for (size_t r = 0; r < data.numRows(); ++r) {
+        const int machine = data.machineIds()[r];
+        const std::size_t tick = tickOf[machine]++;
+        std::vector<double> row = data.features().row(r);
+        const auto target =
+            std::find(targets.begin(), targets.end(),
+                      "machine" + std::to_string(machine));
+        if (target != targets.end()) {
+            row = storm.apply(
+                static_cast<std::size_t>(target - targets.begin()),
+                tick, std::move(row));
+        }
+        faulted.addRow(
+            row, data.powerW()[r], data.runIds()[r], machine,
+            data.workloadNames()[data.workloadIds()[r]]);
+    }
+    return faulted;
+}
+
+/**
+ * The monitored lockstep replay that `monitor`, `autopilot` and
+ * `fleetview --replay` share: every machine of the trace registered
+ * under one FleetMonitor, and a synchronous replay in which each
+ * tick's samples drain on the calling thread before the autopilot
+ * (when one is given) ticks, telemetry is written and the command's
+ * own per-tick output runs. Dashboard lines and telemetry records are
+ * therefore in lockstep with the trace, and deterministic for a fixed
+ * trace.
+ */
+struct LockstepReplay
+{
+    serve::TraceReplayer replayer;
+    serve::FleetServer server;
+    FeatureSet features;
+    monitor::FleetMonitor fleetMonitor;
+    std::optional<monitor::TelemetryExporter> telemetry;
+    std::size_t telemetryEvery = 10;
+
+    LockstepReplay(const ParsedArgs &args, const Dataset &trace)
+        : replayer(trace),
+          features(addFleetMachines(server, args, replayer.machineIds())),
+          fleetMonitor(qualityConfig(args))
+    {
+        fleetMonitor.attach(server);
+    }
+
+    /**
+     * Stream fleet/quality/metrics records to --telemetry-out (a
+     * JSONL path, or "tcp://host:port" for a live collector) every
+     * --telemetry-every ticks and on the last tick.
+     */
+    void openTelemetry(const ParsedArgs &args)
+    {
+        telemetryEvery = args.integer("telemetry-every", 10, 1);
+        const std::string target = args.flagOr("telemetry-out", "");
+        if (target.empty())
+            return;
+        if (net::isSocketTarget(target))
+            telemetry.emplace(net::connectLineSink(target), target);
+        else
+            telemetry.emplace(target);
+    }
+
+    /**
+     * Replay the trace at --speed; @p show runs every @p every ticks
+     * (never when 0) and on the last tick.
+     */
+    serve::ReplayStats
+    run(const ParsedArgs &args, std::size_t every,
+        const std::function<void(std::size_t tick)> &show,
+        autopilot::AutopilotController *pilot = nullptr)
+    {
+        serve::ReplayConfig config;
+        config.speed = args.number("speed", 0.0);
+        config.onTick = [&](std::size_t tick) {
+            while (server.processed() + server.dropped() <
+                   server.submitted())
+                server.drainOnce();
+            if (pilot != nullptr)
+                pilot->tick();
+            const bool lastTick = tick + 1 == replayer.numTicks();
+            if (telemetry && (tick % telemetryEvery == 0 || lastTick)) {
+                const monitor::QualitySnapshot quality =
+                    fleetMonitor.publishMetrics();
+                telemetry->writeFleet(server.snapshot(), tick);
+                telemetry->writeQuality(quality, tick);
+                telemetry->writeMetrics(tick);
+            }
+            if (every != 0 && (tick % every == 0 || lastTick))
+                show(tick);
+        };
+        return replayer.replayInto(server, config);
+    }
+
+    /** Flush the telemetry stream and say where it went. */
+    void closeTelemetry(std::ostream &out)
+    {
+        if (!telemetry)
+            return;
+        telemetry->flush();
+        out << "wrote " << telemetry->records()
+            << " telemetry records to " << telemetry->path() << "\n";
+    }
+};
+
 /**
  * `chaos serve --listen`: run the fleet server as a real network
  * server — a ChaosIngestServer accepting wire-protocol connections
@@ -527,64 +806,27 @@ int
 cmdServeListen(const ParsedArgs &args, std::ostream &out,
                std::ostream &err)
 {
-    serve::FleetServerConfig config;
-    config.numShards = static_cast<size_t>(
-        std::stoul(args.flagOr("shards", "4")));
-    config.queueCapacity = static_cast<size_t>(
-        std::stoul(args.flagOr("queue-capacity", "8192")));
-    config.snapshotEverySamples = static_cast<size_t>(
-        std::stoul(args.flagOr("snapshot-every", "0")));
+    const serve::FleetServerConfig config = serverConfig(args);
     serve::FleetServer server(config);
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    const size_t machines = static_cast<size_t>(
-        std::stoul(args.flagOr("machines", "8")));
-    if (!fleetPath.empty()) {
-        for (serve::FleetMachine &machine :
-             serve::loadFleetModels(fleetPath)) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    } else {
-        const MachinePowerModel model =
-            modelPath.empty() ? syntheticServeModel(7, 25.0)
-                              : loadMachineModelFile(modelPath);
-        for (size_t i = 0; i < machines; ++i)
-            server.addMachine("machine" + std::to_string(i), model,
-                              estimatorConfig);
-    }
+    addFleetMachines(server, args,
+                     numberedMachineIds(args.integer("machines", 8)));
 
     net::IngestServerConfig ingestConfig;
-    ingestConfig.port = static_cast<uint16_t>(
-        std::stoul(args.flagOr("listen", "0")));
-    ingestConfig.creditBatch = static_cast<size_t>(
-        std::stoul(args.flagOr("credit-batch", "0")));
+    ingestConfig.port =
+        static_cast<uint16_t>(args.integer("listen", 0, 0, 65535));
+    ingestConfig.creditBatch = args.integer("credit-batch", 0);
+    // Run until the sample budget is met or ingest goes idle (both
+    // optional; with neither, serve until the process is killed).
+    const uint64_t maxSamples = args.integer("ingest-max-samples", 0);
+    const uint64_t idleMs = args.integer("ingest-idle-ms", 0);
     net::ChaosIngestServer ingest(server, ingestConfig);
 
     // Optional online quality monitoring: drift verdicts over the
     // metered references the wire samples carry — the trigger the
     // flight recorder below freezes on.
     std::optional<monitor::FleetMonitor> fleetMonitor;
-    if (args.flagOr("monitor", "0") == "1" ||
-        args.flagOr("monitor", "0") == "true") {
-        monitor::QualityMonitorConfig qualityConfig;
-        qualityConfig.windowSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("window", "60")));
-        qualityConfig.warmupSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("warmup", "600")));
-        qualityConfig.driftLambda =
-            std::stod(args.flagOr("drift-lambda", "60"));
-        qualityConfig.driftDelta =
-            std::stod(args.flagOr("drift-delta", "0.5"));
-        fleetMonitor.emplace(qualityConfig);
+    if (args.flagSet("monitor")) {
+        fleetMonitor.emplace(qualityConfig(args));
         fleetMonitor->attach(server);
     }
 
@@ -595,10 +837,9 @@ cmdServeListen(const ParsedArgs &args, std::ostream &out,
     if (!flightDir.empty()) {
         obs::FlightConfig flightConfig;
         flightConfig.outDir = flightDir;
-        flightConfig.windowMs = std::stoull(
-            args.flagOr("flight-window-ms", "10000"));
-        flightConfig.rateLimitMs = std::stoull(
-            args.flagOr("flight-rate-limit-ms", "30000"));
+        flightConfig.windowMs = args.integer("flight-window-ms", 10000);
+        flightConfig.rateLimitMs =
+            args.integer("flight-rate-limit-ms", 30000);
         auto &flight = obs::FlightRecorder::instance();
         flight.configure(flightConfig);
         flight.setEnabled(true);
@@ -614,20 +855,9 @@ cmdServeListen(const ParsedArgs &args, std::ostream &out,
     // Scripts poll this file instead of parsing stdout (the port is
     // ephemeral when --listen 0).
     const std::string portFile = args.flagOr("port-file", "");
-    if (!portFile.empty()) {
-        std::ofstream file(portFile);
-        raiseIf(!file, "cannot write " + portFile);
-        file << ingest.port() << "\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + portFile);
-    }
+    if (!portFile.empty())
+        writeTextFile(portFile, std::to_string(ingest.port()) + "\n");
 
-    // Run until the sample budget is met or ingest goes idle (both
-    // optional; with neither, serve until the process is killed).
-    const uint64_t maxSamples = std::stoull(
-        args.flagOr("ingest-max-samples", "0"));
-    const uint64_t idleMs =
-        std::stoull(args.flagOr("ingest-idle-ms", "0"));
     auto lastChange = std::chrono::steady_clock::now();
     uint64_t lastSeen = 0;
     while (true) {
@@ -677,20 +907,63 @@ cmdServeListen(const ParsedArgs &args, std::ostream &out,
 
     const std::string statsOut = args.flagOr("stats-out", "");
     if (!statsOut.empty()) {
-        std::ofstream file(statsOut);
-        raiseIf(!file, "cannot write " + statsOut);
-        file << "{\"ingest\": " << stats.toJson()
-             << ", \"fleet\": " << snapshot.toJson() << "}\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + statsOut);
+        writeTextFile(statsOut, "{\"ingest\": " + stats.toJson() +
+                                    ", \"fleet\": " +
+                                    snapshot.toJson() + "}\n");
         out << "wrote ingest stats to " << statsOut << "\n";
     }
     return 0;
 }
 
-// Defined with the introspection plumbing below.
-int loadgenReplay(const ParsedArgs &args, const std::string &target,
-                  std::ostream &out, std::ostream &err);
+/**
+ * `chaos loadgen --replay`: send a recorded trace (optionally fault-
+ * injected with stuck counters, same flags as `chaos autopilot`)
+ * through the wire protocol to a live ingest server, one connection,
+ * metered references attached. This is how tier-1 provokes a real
+ * ModelDrift — and therefore a flight-recorder bundle — on a
+ * network-fed server from a clean recording.
+ */
+int
+loadgenReplay(const ParsedArgs &args, const std::string &target,
+              std::ostream &out)
+{
+    const Dataset data =
+        injectedTrace(args, loadDataset(args.flagOr("replay", "")));
+
+    net::IngestClientConfig config;
+    const auto [host, port] = net::parseHostPort(target);
+    config.host = host;
+    config.port = port;
+    config.window = args.integer("window", 1024);
+    config.jsonl = args.flagSet("jsonl");
+    // Metered references ride every Nth sample (default: every one —
+    // the monitor's drift detector needs them).
+    const size_t meteredEvery = args.integer("metered-every", 1);
+    net::IngestClient client(config);
+    client.connect();
+
+    std::map<int, std::uint64_t> tickOf;
+    for (size_t r = 0; r < data.numRows(); ++r) {
+        const int machine = data.machineIds()[r];
+        const std::uint64_t tick = tickOf[machine]++;
+        const std::vector<double> row = data.features().row(r);
+        const double metered =
+            meteredEvery != 0 && tick % meteredEvery == 0
+                ? data.powerW()[r]
+                : std::numeric_limits<double>::quiet_NaN();
+        client.send(tick, "machine" + std::to_string(machine),
+                    row.data(), row.size(), metered);
+    }
+    const bool drained = client.drain();
+    client.close();
+
+    out << "replayed " << client.sent() << " samples over the wire: "
+        << client.accepted() << " accepted, " << client.rejected()
+        << " rejected"
+        << (drained ? "" : " (server closed before full drain)")
+        << "\n";
+    return drained ? 0 : 1;
+}
 
 /**
  * Drive an ingest server with paced concurrent connections — the
@@ -720,29 +993,22 @@ cmdLoadgen(const ParsedArgs &args, std::ostream &out,
     if (net::isSocketTarget(target))
         target = target.substr(6);
     if (!args.flagOr("replay", "").empty())
-        return loadgenReplay(args, target, out, err);
+        return loadgenReplay(args, target, out);
 
     net::LoadGenConfig config;
     const auto [host, port] = net::parseHostPort(target);
     config.host = host;
     config.port = port;
-    config.connections = static_cast<size_t>(
-        std::stoul(args.flagOr("connections", "8")));
-    config.workers = static_cast<size_t>(
-        std::stoul(args.flagOr("workers", "0")));
-    config.samplesPerConnection = static_cast<size_t>(
-        std::stoul(args.flagOr("samples", "1000")));
-    config.ratePerConnection = std::stod(args.flagOr("rate", "0"));
-    config.rowSize = static_cast<size_t>(std::stoul(args.flagOr(
-        "row-size",
-        std::to_string(CounterCatalog::instance().size()))));
-    config.window = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "1024")));
-    config.jsonl = args.flagOr("jsonl", "0") == "1" ||
-                   args.flagOr("jsonl", "0") == "true";
-    config.meteredEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("metered-every", "0")));
-    config.seed = std::stoull(args.flagOr("seed", "42"));
+    config.connections = args.integer("connections", 8);
+    config.workers = args.integer("workers", 0);
+    config.samplesPerConnection = args.integer("samples", 1000);
+    config.ratePerConnection = args.number("rate", 0.0);
+    config.rowSize =
+        args.integer("row-size", CounterCatalog::instance().size());
+    config.window = args.integer("window", 1024);
+    config.jsonl = args.flagSet("jsonl");
+    config.meteredEvery = args.integer("metered-every", 0);
+    config.seed = args.integer("seed", 42);
 
     const std::string idList = args.flagOr("machine-ids", "");
     if (!idList.empty()) {
@@ -750,11 +1016,8 @@ cmdLoadgen(const ParsedArgs &args, std::ostream &out,
             if (!id.empty())
                 config.machineIds.push_back(id);
     } else {
-        const size_t machines = static_cast<size_t>(
-            std::stoul(args.flagOr("machines", "8")));
-        for (size_t i = 0; i < machines; ++i)
-            config.machineIds.push_back("machine" +
-                                        std::to_string(i));
+        config.machineIds =
+            numberedMachineIds(args.integer("machines", 8));
     }
 
     net::LoadGenerator generator(config);
@@ -782,11 +1045,7 @@ cmdLoadgen(const ParsedArgs &args, std::ostream &out,
 
     const std::string reportJson = args.flagOr("report-json", "");
     if (!reportJson.empty()) {
-        std::ofstream file(reportJson);
-        raiseIf(!file, "cannot write " + reportJson);
-        file << report.toJson() << "\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + reportJson);
+        writeTextFile(reportJson, report.toJson() + "\n");
         out << "wrote report to " << reportJson << "\n";
     }
     return report.connectionsFailed == 0 ? 0 : 1;
@@ -896,16 +1155,14 @@ cmdTop(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         target = target.substr(6);
     const auto [host, port] = net::parseHostPort(target);
 
-    const bool jsonMode = args.flagOr("json", "0") == "1" ||
-                          args.flagOr("json", "0") == "true";
+    const bool jsonMode = args.flagSet("json");
     const int timeoutMs =
-        std::stoi(args.flagOr("timeout-ms", "5000"));
+        static_cast<int>(args.integer("timeout-ms", 5000, 0, INT_MAX));
     const int intervalMs =
-        std::stoi(args.flagOr("interval-ms", "1000"));
+        static_cast<int>(args.integer("interval-ms", 1000, 0, INT_MAX));
     // --json is one-shot unless --count says otherwise; the
     // dashboard refreshes until interrupted by default.
-    const std::uint64_t count = std::stoull(
-        args.flagOr("count", jsonMode ? "1" : "0"));
+    const std::uint64_t count = args.integer("count", jsonMode ? 1 : 0);
 
     for (std::uint64_t poll = 0; count == 0 || poll < count; ++poll) {
         if (poll > 0) {
@@ -930,74 +1187,6 @@ cmdTop(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 /**
- * `chaos loadgen --replay`: send a recorded trace (optionally fault-
- * injected with stuck counters, same flags as `chaos autopilot`)
- * through the wire protocol to a live ingest server, one connection,
- * metered references attached. This is how tier-1 provokes a real
- * ModelDrift — and therefore a flight-recorder bundle — on a
- * network-fed server from a clean recording.
- */
-int
-loadgenReplay(const ParsedArgs &args, const std::string &target,
-              std::ostream &out, std::ostream &err)
-{
-    (void)err;
-    Dataset data = loadDataset(args.flagOr("replay", ""));
-
-    const std::string injectIds = args.flagOr("inject-stuck", "");
-    if (!injectIds.empty()) {
-        std::vector<std::string> targets;
-        for (const std::string &part : split(injectIds, ';')) {
-            const std::string id = trim(part);
-            if (!id.empty())
-                targets.push_back(id);
-        }
-        data = injectStuckCounters(
-            data, targets,
-            std::stoul(args.flagOr("inject-at", "0")),
-            std::stoul(args.flagOr("inject-stagger", "0")),
-            std::stoull(args.flagOr("seed", "2012")));
-    }
-
-    net::IngestClientConfig config;
-    const auto [host, port] = net::parseHostPort(target);
-    config.host = host;
-    config.port = port;
-    config.window = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "1024")));
-    config.jsonl = args.flagOr("jsonl", "0") == "1" ||
-                   args.flagOr("jsonl", "0") == "true";
-    net::IngestClient client(config);
-    client.connect();
-
-    // Metered references ride every Nth sample (default: every one —
-    // the monitor's drift detector needs them).
-    const size_t meteredEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("metered-every", "1")));
-    std::map<int, std::uint64_t> tickOf;
-    for (size_t r = 0; r < data.numRows(); ++r) {
-        const int machine = data.machineIds()[r];
-        const std::uint64_t tick = tickOf[machine]++;
-        const std::vector<double> row = data.features().row(r);
-        const double metered =
-            meteredEvery != 0 && tick % meteredEvery == 0
-                ? data.powerW()[r]
-                : std::numeric_limits<double>::quiet_NaN();
-        client.send(tick, "machine" + std::to_string(machine),
-                    row.data(), row.size(), metered);
-    }
-    const bool drained = client.drain();
-    client.close();
-
-    out << "replayed " << client.sent() << " samples over the wire: "
-        << client.accepted() << " accepted, " << client.rejected()
-        << " rejected"
-        << (drained ? "" : " (server closed before full drain)")
-        << "\n";
-    return drained ? 0 : 1;
-}
-
-/**
  * Replay a recorded counter trace through the streaming fleet server
  * (paper Eq. 5 as a service): every machine in the trace gets an
  * online estimator, samples are enqueued tick by tick at the chosen
@@ -1010,9 +1199,7 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     if (args.flags.count("listen") != 0)
         return cmdServeListen(args, out, err);
     const std::string replayPath = args.flagOr("replay", "");
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    if (replayPath.empty() || (modelPath.empty() == fleetPath.empty())) {
+    if (replayPath.empty() || !oneModelSource(args)) {
         err << "usage: chaos serve --replay <data.csv> "
                "(--model <model.txt> | --fleet <manifest.txt>)\n"
                "    [--speed X] [--platform P] [--shards N] "
@@ -1021,40 +1208,12 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         return 2;
     }
 
-    const Dataset data = loadDataset(replayPath);
-    serve::TraceReplayer replayer(data);
-
-    serve::FleetServerConfig config;
-    config.numShards = static_cast<size_t>(
-        std::stoul(args.flagOr("shards", "4")));
-    config.queueCapacity = static_cast<size_t>(
-        std::stoul(args.flagOr("queue-capacity", "8192")));
-    config.snapshotEverySamples = static_cast<size_t>(
-        std::stoul(args.flagOr("snapshot-every", "0")));
-    serve::FleetServer server(config);
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    if (!modelPath.empty()) {
-        // One shared model deployed to every machine in the trace.
-        const MachinePowerModel model = loadMachineModelFile(modelPath);
-        for (const std::string &id : replayer.machineIds())
-            server.addMachine(id, model, estimatorConfig);
-    } else {
-        for (serve::FleetMachine &machine :
-             serve::loadFleetModels(fleetPath)) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    }
+    const serve::TraceReplayer replayer(loadDataset(replayPath));
+    serve::FleetServer server(serverConfig(args));
+    addFleetMachines(server, args, replayer.machineIds());
 
     serve::ReplayConfig replayConfig;
-    replayConfig.speed = std::stod(args.flagOr("speed", "0"));
+    replayConfig.speed = args.number("speed", 0.0);
 
     server.start();
     const serve::ReplayStats stats =
@@ -1084,14 +1243,11 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 
     const std::string snapshotsOut = args.flagOr("snapshots-out", "");
     if (!snapshotsOut.empty()) {
-        std::ofstream file(snapshotsOut);
-        raiseIf(!file, "cannot write " + snapshotsOut);
-        file << "[\n";
+        std::string json = "[\n";
         for (const serve::FleetSnapshot &snap : server.snapshots())
-            file << "  " << snap.toJson() << ",\n";
-        file << "  " << final_snapshot.toJson() << "\n]\n";
-        file.flush();
-        raiseIf(!file.good(), "failed writing " + snapshotsOut);
+            json += "  " + snap.toJson() + ",\n";
+        json += "  " + final_snapshot.toJson() + "\n]\n";
+        writeTextFile(snapshotsOut, json);
         out << "wrote " << server.snapshots().size() + 1
             << " snapshots to " << snapshotsOut << "\n";
     }
@@ -1099,27 +1255,19 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 /**
- * Replay a recorded trace through a monitored fleet: every evaluated
- * sample updates the per-machine rolling model-quality statistics
- * (windowed rMSE, rolling DRE, bias) and the Page-Hinkley drift
- * detector, a periodic text dashboard shows the fleet converging (or
- * drifting), and --telemetry-out streams fleet/quality/metrics
- * records as JSONL for downstream collectors.
- *
- * The replay is synchronous: instead of the background drainer
- * thread, every tick's samples are drained on the calling thread via
- * the replay onTick hook, so dashboard lines and telemetry records
- * are in lockstep with the trace (and deterministic for a fixed
- * trace).
+ * Replay a recorded trace through a monitored fleet (LockstepReplay):
+ * every evaluated sample updates the per-machine rolling model-quality
+ * statistics (windowed rMSE, rolling DRE, bias) and the Page-Hinkley
+ * drift detector, a periodic text dashboard shows the fleet
+ * converging (or drifting), and --telemetry-out streams
+ * fleet/quality/metrics records as JSONL for downstream collectors.
  */
 int
 cmdMonitor(const ParsedArgs &args, std::ostream &out,
            std::ostream &err)
 {
     const std::string replayPath = args.flagOr("replay", "");
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    if (replayPath.empty() || (modelPath.empty() == fleetPath.empty())) {
+    if (replayPath.empty() || !oneModelSource(args)) {
         err << "usage: chaos monitor --replay <data.csv> "
                "(--model <model.txt> | --fleet <manifest.txt>)\n"
                "    [--platform P] [--speed X] [--window N] "
@@ -1130,102 +1278,33 @@ cmdMonitor(const ParsedArgs &args, std::ostream &out,
         return 2;
     }
 
-    const Dataset data = loadDataset(replayPath);
-    serve::TraceReplayer replayer(data);
-
-    serve::FleetServer server;
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    if (!modelPath.empty()) {
-        const MachinePowerModel model = loadMachineModelFile(modelPath);
-        for (const std::string &id : replayer.machineIds())
-            server.addMachine(id, model, estimatorConfig);
-    } else {
-        for (serve::FleetMachine &machine :
-             serve::loadFleetModels(fleetPath)) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    }
-
-    monitor::QualityMonitorConfig qualityConfig;
-    qualityConfig.windowSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "60")));
-    qualityConfig.warmupSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("warmup", "600")));
-    qualityConfig.driftLambda =
-        std::stod(args.flagOr("drift-lambda", "60"));
-    qualityConfig.driftDelta =
-        std::stod(args.flagOr("drift-delta", "0.5"));
-    monitor::FleetMonitor fleetMonitor(qualityConfig);
-    fleetMonitor.attach(server);
-
-    std::optional<monitor::TelemetryExporter> telemetry;
-    const std::string telemetryOut = args.flagOr("telemetry-out", "");
-    if (!telemetryOut.empty()) {
-        // "tcp://host:port" streams records to a live collector over
-        // a socket; anything else is a JSONL file path.
-        if (net::isSocketTarget(telemetryOut))
-            telemetry.emplace(net::connectLineSink(telemetryOut),
-                              telemetryOut);
-        else
-            telemetry.emplace(telemetryOut);
-    }
-    const size_t telemetryEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("telemetry-every", "10")));
-    const size_t dashboardEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("dashboard-every", "0")));
-
-    serve::ReplayConfig replayConfig;
-    replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-    replayConfig.onTick = [&](size_t tick) {
-        // Synchronous lockstep: drain this tick's samples here.
-        while (server.processed() + server.dropped() <
-               server.submitted())
-            server.drainOnce();
-        const bool lastTick = tick + 1 == replayer.numTicks();
-        if (telemetry &&
-            (tick % telemetryEvery == 0 || lastTick)) {
-            const monitor::QualitySnapshot quality =
-                fleetMonitor.publishMetrics();
-            telemetry->writeFleet(server.snapshot(), tick);
-            telemetry->writeQuality(quality, tick);
-            telemetry->writeMetrics(tick);
-        }
-        if (dashboardEvery != 0 &&
-            (tick % dashboardEvery == 0 || lastTick)) {
+    LockstepReplay replay(args, loadDataset(replayPath));
+    monitor::FleetMonitor &fleetMonitor = replay.fleetMonitor;
+    const std::size_t dashboardEvery = args.integer("dashboard-every", 0);
+    replay.openTelemetry(args);
+    const serve::ReplayStats stats =
+        replay.run(args, dashboardEvery, [&](std::size_t tick) {
             const monitor::QualitySnapshot quality =
                 fleetMonitor.snapshot();
             double worstDre = 0.0;
             for (const auto &machine : quality.machines) {
                 if (std::isfinite(machine.rollingDre))
-                    worstDre =
-                        std::max(worstDre, machine.rollingDre);
+                    worstDre = std::max(worstDre, machine.rollingDre);
             }
             out << "tick " << tick << ": cluster "
-                << formatDouble(server.snapshot().clusterW, 1)
+                << formatDouble(replay.server.snapshot().clusterW, 1)
                 << " W, worst rolling DRE "
                 << formatPercent(worstDre, 1) << ", drifting "
                 << quality.driftingCount() << "/"
                 << quality.machines.size() << "\n";
-        }
-    };
-
-    const serve::ReplayStats stats =
-        replayer.replayInto(server, replayConfig);
+        });
 
     const monitor::QualitySnapshot quality =
         fleetMonitor.publishMetrics();
     out << "monitored " << stats.ticks << " ticks x "
         << fleetMonitor.numMachines() << " machines: "
-        << stats.submitted << " samples, " << server.processed()
-        << " processed, " << server.dropped() << " dropped\n";
+        << stats.submitted << " samples, " << replay.server.processed()
+        << " processed, " << replay.server.dropped() << " dropped\n";
     TextTable table({"Machine", "Quality", "rMSE (W)", "DRE", "Bias (W)",
                      "Drift stat"});
     for (const monitor::MachineQualityReport &machine :
@@ -1241,12 +1320,7 @@ cmdMonitor(const ParsedArgs &args, std::ostream &out,
     }
     out << table.render();
     out << "drift events: " << fleetMonitor.driftEvents() << "\n";
-
-    if (telemetry) {
-        telemetry->flush();
-        out << "wrote " << telemetry->records()
-            << " telemetry records to " << telemetry->path() << "\n";
-    }
+    replay.closeTelemetry(out);
     return 0;
 }
 
@@ -1374,28 +1448,26 @@ cmdFleetview(const ParsedArgs &args, std::ostream &out,
                "F.jsonl | --replay data.csv (--model M | --fleet F))\n"
                "    [--ticks N] [--seed S] [--worst N] [--path "
                "dc0/row1] [--rollup-out F.jsonl]\n"
-               "    [--group-size N] [--platform P]\n";
+               "    [--group-size N] [--platform P] [--window N] "
+               "[--warmup N]\n"
+               "    [--drift-lambda L] [--drift-delta D]\n";
         return 2;
     }
 
     rollup::RollupConfig rollupConfig;
-    rollupConfig.worstN = static_cast<std::size_t>(
-        std::stoul(args.flagOr("worst", "5")));
+    rollupConfig.worstN = args.integer("worst", 5);
     rollup::RollupTree tree(rollupConfig);
 
-    const std::size_t groupSize = static_cast<std::size_t>(
-        std::stoul(args.flagOr("group-size", "8")));
+    const std::size_t groupSize = args.integer("group-size", 8, 1);
     const std::string platform = args.flagOr("platform", "");
 
     if (!syntheticCount.empty()) {
         FleetTopologyConfig topoConfig;
-        topoConfig.machines = static_cast<std::size_t>(
-            std::stoul(syntheticCount));
-        topoConfig.seed = std::stoull(args.flagOr("seed", "42"));
+        topoConfig.machines = args.integer("synthetic", 0);
+        topoConfig.seed = args.integer("seed", 42);
+        const std::uint64_t ticks = args.integer("ticks", 30);
         const FleetTopology topology(topoConfig);
         rollup::SyntheticRollupFeed feed(tree, topology);
-        const std::uint64_t ticks =
-            std::stoull(args.flagOr("ticks", "30"));
         for (std::uint64_t t = 0; t < ticks; ++t)
             feed.tick(t);
         out << "synthetic fleet: " << topology.size()
@@ -1444,69 +1516,23 @@ cmdFleetview(const ParsedArgs &args, std::ostream &out,
             << stats.skipped << " skipped), last tick "
             << stats.lastTick << "\n";
     } else {
-        const std::string modelPath = args.flagOr("model", "");
-        const std::string fleetPath = args.flagOr("fleet", "");
-        if (modelPath.empty() == fleetPath.empty()) {
+        if (!oneModelSource(args)) {
             err << "error: fleetview --replay needs exactly one of "
                    "--model or --fleet\n";
             return 2;
         }
-        const Dataset data = loadDataset(replayPath);
-        serve::TraceReplayer replayer(data);
-        serve::FleetServer server;
-
-        OnlineEstimatorConfig estimatorConfig;
-        if (!platform.empty()) {
-            estimatorConfig = OnlineEstimatorConfig::forSpec(
-                machineSpecFor(machineClassFromName(platform)));
-        }
-        if (!modelPath.empty()) {
-            const MachinePowerModel model =
-                loadMachineModelFile(modelPath);
-            for (const std::string &id : replayer.machineIds())
-                server.addMachine(id, model, estimatorConfig);
-        } else {
-            for (serve::FleetMachine &machine :
-                 serve::loadFleetModels(fleetPath)) {
-                server.addMachine(machine.id,
-                                  std::move(machine.model),
-                                  estimatorConfig);
-            }
-        }
-
-        monitor::QualityMonitorConfig qualityConfig;
-        qualityConfig.windowSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("window", "60")));
-        qualityConfig.warmupSamples = static_cast<size_t>(
-            std::stoul(args.flagOr("warmup", "600")));
-        monitor::FleetMonitor fleetMonitor(qualityConfig);
-        fleetMonitor.attach(server);
-
+        LockstepReplay replay(args, loadDataset(replayPath));
         rollup::LiveRollupFeed feed(tree);
-        placeSequentially(feed, server.machineIds(), groupSize,
+        placeSequentially(feed, replay.server.machineIds(), groupSize,
                           platform.empty() ? "unknown" : platform);
-
-        serve::ReplayConfig replayConfig;
-        replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-        const std::uint64_t observeEvery =
-            std::stoull(args.flagOr("ticks", "10"));
-        replayConfig.onTick = [&](size_t tick) {
-            // Synchronous lockstep, like cmdMonitor: drain this
-            // tick's samples, then join the snapshots into the tree.
-            while (server.processed() + server.dropped() <
-                   server.submitted())
-                server.drainOnce();
-            const bool lastTick = tick + 1 == replayer.numTicks();
-            if (observeEvery != 0 &&
-                (tick % observeEvery == 0 || lastTick)) {
-                feed.observe(server.snapshot(),
-                             fleetMonitor.snapshot());
-            }
-        };
+        // Join the snapshots into the tree every --ticks ticks.
         const serve::ReplayStats stats =
-            replayer.replayInto(server, replayConfig);
+            replay.run(args, args.integer("ticks", 10), [&](std::size_t) {
+                feed.observe(replay.server.snapshot(),
+                             replay.fleetMonitor.snapshot());
+            });
         out << "live replay: " << stats.ticks << " ticks x "
-            << server.numMachines() << " machines, "
+            << replay.server.numMachines() << " machines, "
             << feed.observed() << " roll-up joins\n";
     }
 
@@ -1531,47 +1557,6 @@ cmdFleetview(const ParsedArgs &args, std::ostream &out,
 }
 
 /**
- * Rebuild @p data with the listed machines' counter vectors passed
- * through a stuck-counter DriftStorm from @p onsetTick on (metered
- * power stays true — that divergence is what the monitor detects).
- * @p targets holds replay-style ids ("machine<N>"); rows keep their
- * recorded order, with a per-machine tick counter driving the storm.
- */
-Dataset
-injectStuckCounters(const Dataset &data,
-                    const std::vector<std::string> &targets,
-                    std::size_t onsetTick, std::size_t staggerTicks,
-                    std::uint64_t seed)
-{
-    DriftStormConfig stormConfig;
-    stormConfig.machines = targets.size();
-    stormConfig.onsetTick = onsetTick;
-    stormConfig.staggerTicks = staggerTicks;
-    stormConfig.seed = seed;
-    DriftStorm storm(stormConfig);
-
-    Dataset faulted(data.featureNames());
-    std::map<int, std::size_t> tickOf;
-    for (size_t r = 0; r < data.numRows(); ++r) {
-        const int machine = data.machineIds()[r];
-        const std::size_t tick = tickOf[machine]++;
-        std::vector<double> row = data.features().row(r);
-        const auto target =
-            std::find(targets.begin(), targets.end(),
-                      "machine" + std::to_string(machine));
-        if (target != targets.end()) {
-            row = storm.apply(
-                static_cast<std::size_t>(target - targets.begin()),
-                tick, std::move(row));
-        }
-        faulted.addRow(
-            row, data.powerW()[r], data.runIds()[r], machine,
-            data.workloadNames()[data.workloadIds()[r]]);
-    }
-    return faulted;
-}
-
-/**
  * Replay a recorded trace through the full self-healing loop: fleet
  * server + quality monitor + remediation autopilot. Drift verdicts
  * quarantine the machine behind a substitute model, a retrain on the
@@ -1589,9 +1574,7 @@ cmdAutopilot(const ParsedArgs &args, std::ostream &out,
              std::ostream &err)
 {
     const std::string replayPath = args.flagOr("replay", "");
-    const std::string modelPath = args.flagOr("model", "");
-    const std::string fleetPath = args.flagOr("fleet", "");
-    if (replayPath.empty() || (modelPath.empty() == fleetPath.empty())) {
+    if (replayPath.empty() || !oneModelSource(args)) {
         err << "usage: chaos autopilot --replay <data.csv> "
                "(--model <model.txt> | --fleet <manifest.txt>)\n"
                "    [--platform P] [--speed X] [--window N] "
@@ -1608,84 +1591,26 @@ cmdAutopilot(const ParsedArgs &args, std::ostream &out,
         return 2;
     }
 
-    Dataset data = loadDataset(replayPath);
-
     // The pooled quarantine substitute is fit on the clean recording;
     // faults are injected afterwards, into the replayed copy only.
+    const Dataset cleanData = loadDataset(replayPath);
     const std::string substituteMode =
         args.flagOr("substitute", "pooled");
     if (substituteMode != "pooled" && substituteMode != "lastgood") {
         err << "error: --substitute must be pooled or lastgood\n";
         return 2;
     }
-    const Dataset cleanData = data;
-
-    const std::string injectIds = args.flagOr("inject-stuck", "");
-    if (!injectIds.empty()) {
-        std::vector<std::string> targets;
-        for (const std::string &part : split(injectIds, ';')) {
-            const std::string id = trim(part);
-            if (!id.empty())
-                targets.push_back(id);
-        }
-        data = injectStuckCounters(
-            data, targets,
-            std::stoul(args.flagOr("inject-at", "0")),
-            std::stoul(args.flagOr("inject-stagger", "0")),
-            std::stoull(args.flagOr("seed", "2012")));
-    }
-
-    serve::TraceReplayer replayer(data);
-    serve::FleetServer server;
-
-    OnlineEstimatorConfig estimatorConfig;
-    const std::string platform = args.flagOr("platform", "");
-    if (!platform.empty()) {
-        estimatorConfig = OnlineEstimatorConfig::forSpec(
-            machineSpecFor(machineClassFromName(platform)));
-    }
-
-    FeatureSet substituteFeatures;
-    if (!modelPath.empty()) {
-        const MachinePowerModel model = loadMachineModelFile(modelPath);
-        substituteFeatures = model.featureSet();
-        for (const std::string &id : replayer.machineIds())
-            server.addMachine(id, model, estimatorConfig);
-    } else {
-        std::vector<serve::FleetMachine> fleet =
-            serve::loadFleetModels(fleetPath);
-        raiseIf(fleet.empty(), "empty fleet manifest " + fleetPath);
-        substituteFeatures = fleet.front().model.featureSet();
-        for (serve::FleetMachine &machine : fleet) {
-            server.addMachine(machine.id, std::move(machine.model),
-                              estimatorConfig);
-        }
-    }
-
-    monitor::QualityMonitorConfig qualityConfig;
-    qualityConfig.windowSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("window", "60")));
-    qualityConfig.warmupSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("warmup", "600")));
-    qualityConfig.driftLambda =
-        std::stod(args.flagOr("drift-lambda", "60"));
-    qualityConfig.driftDelta =
-        std::stod(args.flagOr("drift-delta", "0.5"));
-    monitor::FleetMonitor fleetMonitor(qualityConfig);
-    fleetMonitor.attach(server);
+    LockstepReplay replay(args, injectedTrace(args, cleanData));
 
     autopilot::AutopilotConfig pilotConfig;
     pilotConfig.backgroundRetrain = false; // Deterministic replay.
-    pilotConfig.maxConcurrentRetrains = static_cast<size_t>(
-        std::stoul(args.flagOr("max-retrains", "2")));
-    pilotConfig.referenceWindowSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("reference-window", "256")));
-    pilotConfig.retrainMinSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("min-retrain-samples", "64")));
-    pilotConfig.canaryMinSamples = static_cast<size_t>(
-        std::stoul(args.flagOr("canary-samples", "32")));
-    pilotConfig.cooldownTicks = static_cast<size_t>(
-        std::stoul(args.flagOr("cooldown", "60")));
+    pilotConfig.maxConcurrentRetrains = args.integer("max-retrains", 2);
+    pilotConfig.referenceWindowSamples =
+        args.integer("reference-window", 256);
+    pilotConfig.retrainMinSamples =
+        args.integer("min-retrain-samples", 64);
+    pilotConfig.canaryMinSamples = args.integer("canary-samples", 32);
+    pilotConfig.cooldownTicks = args.integer("cooldown", 60);
     const std::string retrainType = args.flagOr("retrain-type", "");
     if (!retrainType.empty()) {
         bool ok = false;
@@ -1694,50 +1619,19 @@ cmdAutopilot(const ParsedArgs &args, std::ostream &out,
         if (!ok)
             return 2;
     }
-    autopilot::AutopilotController pilot(server, fleetMonitor,
-                                         pilotConfig);
+    autopilot::AutopilotController pilot(replay.server,
+                                         replay.fleetMonitor, pilotConfig);
     if (substituteMode == "pooled") {
         pilot.setSubstituteModel(
-            fitPooledSubstitute(cleanData, substituteFeatures));
+            fitPooledSubstitute(cleanData, replay.features));
     }
+    const std::size_t dashboardEvery = args.integer("dashboard-every", 0);
+    replay.openTelemetry(args);
     pilot.start();
-
-    std::optional<monitor::TelemetryExporter> telemetry;
-    const std::string telemetryOut = args.flagOr("telemetry-out", "");
-    if (!telemetryOut.empty()) {
-        // "tcp://host:port" streams records to a live collector over
-        // a socket; anything else is a JSONL file path.
-        if (net::isSocketTarget(telemetryOut))
-            telemetry.emplace(net::connectLineSink(telemetryOut),
-                              telemetryOut);
-        else
-            telemetry.emplace(telemetryOut);
-    }
-    const size_t telemetryEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("telemetry-every", "10")));
-    const size_t dashboardEvery = static_cast<size_t>(
-        std::stoul(args.flagOr("dashboard-every", "0")));
-
-    serve::ReplayConfig replayConfig;
-    replayConfig.speed = std::stod(args.flagOr("speed", "0"));
-    replayConfig.onTick = [&](size_t tick) {
-        // Synchronous lockstep: drain, then advance the autopilot.
-        while (server.processed() + server.dropped() <
-               server.submitted())
-            server.drainOnce();
-        pilot.tick();
-        const bool lastTick = tick + 1 == replayer.numTicks();
-        if (telemetry &&
-            (tick % telemetryEvery == 0 || lastTick)) {
-            const monitor::QualitySnapshot quality =
-                fleetMonitor.publishMetrics();
-            telemetry->writeFleet(server.snapshot(), tick);
-            telemetry->writeQuality(quality, tick);
-            telemetry->writeMetrics(tick);
-        }
-        if (dashboardEvery != 0 &&
-            (tick % dashboardEvery == 0 || lastTick)) {
-            const serve::FleetSnapshot snap = server.snapshot();
+    const serve::ReplayStats stats = replay.run(
+        args, dashboardEvery,
+        [&](std::size_t tick) {
+            const serve::FleetSnapshot snap = replay.server.snapshot();
             size_t remediating = 0;
             for (const autopilot::MachineRemediation &machine :
                  pilot.status()) {
@@ -1749,18 +1643,16 @@ cmdAutopilot(const ParsedArgs &args, std::ostream &out,
                 << formatDouble(snap.clusterW, 1) << " W, quarantined "
                 << snap.quarantined << "/" << snap.machines.size()
                 << ", remediating " << remediating << "\n";
-        }
-    };
-
-    const serve::ReplayStats stats =
-        replayer.replayInto(server, replayConfig);
+        },
+        &pilot);
     pilot.stop();
 
-    const monitor::QualitySnapshot quality = fleetMonitor.snapshot();
+    const monitor::QualitySnapshot quality =
+        replay.fleetMonitor.snapshot();
     out << "replayed " << stats.ticks << " ticks x "
-        << server.numMachines() << " machines: " << stats.submitted
-        << " samples, " << server.processed() << " processed, "
-        << server.dropped() << " dropped\n";
+        << replay.server.numMachines() << " machines: "
+        << stats.submitted << " samples, " << replay.server.processed()
+        << " processed, " << replay.server.dropped() << " dropped\n";
 
     std::map<std::string, const monitor::MachineQualityReport *>
         reportById;
@@ -1796,13 +1688,9 @@ cmdAutopilot(const ParsedArgs &args, std::ostream &out,
         << " promotions=" << pilotStats.promotions
         << " rollbacks=" << pilotStats.rollbacks
         << " failures=" << pilotStats.retrainFailures << "\n";
-    out << "drift events: " << fleetMonitor.driftEvents() << "\n";
-
-    if (telemetry) {
-        telemetry->flush();
-        out << "wrote " << telemetry->records()
-            << " telemetry records to " << telemetry->path() << "\n";
-    }
+    out << "drift events: " << replay.fleetMonitor.driftEvents()
+        << "\n";
+    replay.closeTelemetry(out);
     return 0;
 }
 
@@ -1903,17 +1791,6 @@ dispatch(const std::string &command, const ParsedArgs &parsed,
     err << "error: unknown subcommand '" << command
         << "' (try 'chaos help')\n";
     return 2;
-}
-
-/** Write @p content to @p path, raising RecoverableError on failure. */
-void
-writeTextFile(const std::string &path, const std::string &content)
-{
-    std::ofstream file(path);
-    raiseIf(!file, "cannot write " + path);
-    file << content;
-    file.flush();
-    raiseIf(!file.good(), "failed writing " + path);
 }
 
 /**

@@ -4,9 +4,13 @@
  * the full collect -> select -> train -> evaluate -> predict flow on
  * a miniature dataset.
  */
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -52,6 +56,70 @@ tinyDatasetPath()
         return csv;
     }();
     return path;
+}
+
+/** Train a linear model on the tiny dataset once per process. */
+const std::string &
+tinyModelPath()
+{
+    static const std::string path = [] {
+        const std::string model = ::testing::TempDir() + "cli_linear_" +
+                                  std::to_string(::getpid()) + ".txt";
+        const CliResult result = run({"train", tinyDatasetPath(),
+                                      "--out", model, "--type",
+                                      "linear"});
+        EXPECT_EQ(result.code, 0) << result.err;
+        return model;
+    }();
+    return path;
+}
+
+/** A process-unique scratch path ending in @p suffix. */
+std::string
+tempPath(const std::string &suffix)
+{
+    return ::testing::TempDir() + "cli_" + std::to_string(::getpid()) +
+           "_" + suffix;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** The "drifting K" count of the last dashboard or fleetview line. */
+int
+lastDriftingCount(const std::string &out)
+{
+    static const std::regex pattern(R"(drifting (\d+))");
+    int count = -1;
+    for (std::sregex_iterator it(out.begin(), out.end(), pattern), end;
+         it != end; ++it)
+        count = std::stoi((*it)[1]);
+    return count;
+}
+
+/** tick -> cluster_w of every fleet record in a telemetry JSONL file. */
+std::map<double, double>
+clusterWattsByTick(const std::string &path)
+{
+    std::map<double, double> watts;
+    std::istringstream lines(readFile(path));
+    std::string line;
+    while (std::getline(lines, line)) {
+        obs::JsonValue record;
+        EXPECT_TRUE(obs::jsonParse(line, record)) << line;
+        const obs::JsonValue *fleet = record.find("fleet");
+        if (fleet == nullptr)
+            continue;
+        watts[record.find("tick")->asNumber()] =
+            fleet->find("cluster_w")->asNumber();
+    }
+    return watts;
 }
 
 TEST(Cli, HelpListsSubcommands)
@@ -467,6 +535,223 @@ TEST(Cli, TopUsageErrors)
     EXPECT_EQ(run({"top", "--target", "localhost"}).code, 2);
     const CliResult help = run({"help"});
     EXPECT_NE(help.out.find("top --target"), std::string::npos);
+}
+
+/**
+ * Malformed numeric flags are user errors: exit 2 with the flag named
+ * on stderr, never an uncaught exception or a division by zero.
+ */
+TEST(Cli, MalformedNumericFlagsExitTwoNamingTheFlag)
+{
+    const std::string data = tinyDatasetPath();
+    const std::string model = tinyModelPath();
+    const std::string telemetry = tempPath("bad_flags.jsonl");
+    const struct
+    {
+        std::vector<std::string> args;
+        const char *flag;
+    } cases[] = {
+        {{"serve", "--listen", "0", "--shards", "abc"}, "--shards"},
+        {{"serve", "--listen", "70000"}, "--listen"},
+        {{"loadgen", "--target", "127.0.0.1:1", "--connections", "zz"},
+         "--connections"},
+        {{"monitor", "--replay", data, "--model", model, "--window",
+          "-5"},
+         "--window"},
+        {{"monitor", "--replay", data, "--model", model,
+          "--telemetry-out", telemetry, "--telemetry-every", "0"},
+         "--telemetry-every"},
+        {{"monitor", "--replay", data, "--model", model, "--speed",
+          "nan"},
+         "--speed"},
+        {{"autopilot", "--replay", data, "--model", model,
+          "--telemetry-out", telemetry, "--telemetry-every", "0"},
+         "--telemetry-every"},
+        {{"autopilot", "--replay", data, "--model", model,
+          "--cooldown", "12x"},
+         "--cooldown"},
+        {{"fleetview", "--synthetic", "10", "--worst", "x"}, "--worst"},
+        {{"fleetview", "--synthetic", "10", "--group-size", "0"},
+         "--group-size"},
+        {{"fleetview", "--replay", data, "--model", model,
+          "--drift-lambda", "inf"},
+         "--drift-lambda"},
+        {{"top", "--target", "h:1", "--timeout-ms", "x"},
+         "--timeout-ms"},
+        {{"evaluate", data, "--folds", "1"}, "--folds"},
+        {{"collect", "Core2", "--out", telemetry, "--scale", ""},
+         "--scale"},
+    };
+    for (const auto &c : cases) {
+        const CliResult result = run(c.args);
+        EXPECT_EQ(result.code, 2) << c.flag;
+        EXPECT_NE(result.err.find(c.flag), std::string::npos)
+            << c.flag << ": " << result.err;
+    }
+    std::remove(telemetry.c_str());
+}
+
+/**
+ * fleetview --replay honours the monitor's drift flags: a `monitor`
+ * run, the fleetview over its telemetry, and a live fleetview replay
+ * with the same flags agree on how many machines are drifting. Each
+ * flag set moves the count away from what the defaults give.
+ */
+TEST(Cli, FleetviewReplayHonoursDriftFlags)
+{
+    const std::string telemetry = tempPath("drift.jsonl");
+    for (const std::vector<std::string> &flags :
+         {std::vector<std::string>{"--drift-lambda", "10"},
+          std::vector<std::string>{"--drift-delta", "1"}}) {
+        std::vector<std::string> common = {"--warmup", "50"};
+        common.insert(common.end(), flags.begin(), flags.end());
+
+        std::vector<std::string> monitorArgs = {
+            "monitor",        "--replay",   tinyDatasetPath(),
+            "--model",        tinyModelPath(), "--telemetry-out",
+            telemetry,        "--dashboard-every", "1000000"};
+        monitorArgs.insert(monitorArgs.end(), common.begin(),
+                           common.end());
+        const CliResult monitored = run(monitorArgs);
+        ASSERT_EQ(monitored.code, 0) << monitored.err;
+
+        const CliResult offline =
+            run({"fleetview", "--telemetry", telemetry});
+        ASSERT_EQ(offline.code, 0) << offline.err;
+
+        std::vector<std::string> liveArgs = {"fleetview", "--replay",
+                                             tinyDatasetPath(), "--model",
+                                             tinyModelPath()};
+        liveArgs.insert(liveArgs.end(), common.begin(), common.end());
+        const CliResult live = run(liveArgs);
+        ASSERT_EQ(live.code, 0) << live.err;
+
+        const int drifting = lastDriftingCount(monitored.out);
+        EXPECT_GE(drifting, 0) << monitored.out;
+        EXPECT_EQ(lastDriftingCount(offline.out), drifting)
+            << flags[0] << "\n" << offline.out;
+        EXPECT_EQ(lastDriftingCount(live.out), drifting)
+            << flags[0] << "\n" << live.out;
+    }
+    std::remove(telemetry.c_str());
+}
+
+/**
+ * `serve --replay` accounts for every sample (submitted = processed +
+ * dropped) and --snapshots-out writes one JSON array of snapshots.
+ */
+TEST(Cli, ServeReplayAccountsForEverySampleAndWritesSnapshots)
+{
+    const std::string snapshots = tempPath("snapshots.json");
+    const CliResult served =
+        run({"serve", "--replay", tinyDatasetPath(), "--model",
+             tinyModelPath(), "--snapshot-every", "200",
+             "--snapshots-out", snapshots});
+    ASSERT_EQ(served.code, 0) << served.err;
+
+    std::smatch counts;
+    ASSERT_TRUE(std::regex_search(
+        served.out, counts,
+        std::regex(R"((\d+) samples submitted, (\d+) processed, )"
+                   R"((\d+) dropped)")))
+        << served.out;
+    const unsigned long submitted = std::stoul(counts[1]);
+    EXPECT_GT(submitted, 0u);
+    EXPECT_EQ(submitted,
+              std::stoul(counts[2]) + std::stoul(counts[3]));
+
+    obs::JsonValue json;
+    ASSERT_TRUE(obs::jsonParse(readFile(snapshots), json));
+    ASSERT_TRUE(json.isArray());
+    EXPECT_GT(json.items().size(), 1u);
+    std::remove(snapshots.c_str());
+}
+
+/**
+ * `serve --listen` on a thread with an in-process `loadgen` against
+ * it: every sample sent is accepted, the server stops on its sample
+ * budget, and --stats-out is valid JSON.
+ */
+TEST(Cli, ServeListenAcceptsEveryLoadgenSample)
+{
+    const std::string portFile = tempPath("port");
+    const std::string statsFile = tempPath("stats.json");
+    std::remove(portFile.c_str());
+
+    CliResult server;
+    std::thread serving([&] {
+        server = run({"serve", "--listen", "0", "--machines", "4",
+                      "--port-file", portFile, "--ingest-max-samples",
+                      "2000", "--ingest-idle-ms", "10000",
+                      "--stats-out", statsFile});
+    });
+    std::string port;
+    for (int i = 0; i < 500 && port.empty(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const std::string text = readFile(portFile);
+        if (!text.empty() && text.back() == '\n')
+            port = text.substr(0, text.size() - 1);
+    }
+    CliResult loaded;
+    if (!port.empty()) {
+        loaded = run({"loadgen", "--target", "127.0.0.1:" + port,
+                      "--connections", "4", "--samples", "500",
+                      "--machines", "4"});
+    }
+    // The server ends on its sample budget, or on the idle window when
+    // loadgen never reached it; join before any assertion can return.
+    serving.join();
+    ASSERT_FALSE(port.empty()) << "server never wrote its port";
+    EXPECT_EQ(loaded.code, 0) << loaded.err;
+    EXPECT_NE(loaded.out.find("2000 sent = 2000 accepted + 0 rejected"),
+              std::string::npos)
+        << loaded.out;
+    ASSERT_EQ(server.code, 0) << server.err;
+    EXPECT_NE(server.out.find("2000 samples accepted"),
+              std::string::npos)
+        << server.out;
+
+    obs::JsonValue stats;
+    ASSERT_TRUE(obs::jsonParse(readFile(statsFile), stats));
+    EXPECT_NE(stats.find("ingest"), nullptr);
+    EXPECT_NE(stats.find("fleet"), nullptr);
+    std::remove(portFile.c_str());
+    std::remove(statsFile.c_str());
+}
+
+/**
+ * `monitor` and a clean `autopilot` replay share one lockstep loop:
+ * with the same trace and flags, their telemetry reports the same
+ * cluster power at every exported tick.
+ */
+TEST(Cli, MonitorAndCleanAutopilotReplaysAgreeOnClusterPower)
+{
+    const std::string monitorTel = tempPath("lockstep_monitor.jsonl");
+    const std::string pilotTel = tempPath("lockstep_pilot.jsonl");
+    const std::vector<std::string> common = {
+        "--replay", tinyDatasetPath(), "--model", tinyModelPath(),
+        "--warmup", "40", "--window", "30", "--telemetry-every", "7"};
+
+    std::vector<std::string> monitorArgs = {"monitor"};
+    monitorArgs.insert(monitorArgs.end(), common.begin(), common.end());
+    monitorArgs.insert(monitorArgs.end(), {"--telemetry-out", monitorTel});
+    const CliResult monitored = run(monitorArgs);
+    ASSERT_EQ(monitored.code, 0) << monitored.err;
+
+    std::vector<std::string> pilotArgs = {"autopilot"};
+    pilotArgs.insert(pilotArgs.end(), common.begin(), common.end());
+    pilotArgs.insert(pilotArgs.end(), {"--telemetry-out", pilotTel});
+    const CliResult piloted = run(pilotArgs);
+    ASSERT_EQ(piloted.code, 0) << piloted.err;
+    EXPECT_NE(piloted.out.find("quarantines=0"), std::string::npos)
+        << piloted.out;
+
+    const std::map<double, double> expected =
+        clusterWattsByTick(monitorTel);
+    EXPECT_GT(expected.size(), 10u);
+    EXPECT_EQ(clusterWattsByTick(pilotTel), expected);
+    std::remove(monitorTel.c_str());
+    std::remove(pilotTel.c_str());
 }
 
 } // namespace
