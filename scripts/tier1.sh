@@ -42,7 +42,8 @@
 # the model-drift trigger and preceding spans, and the flight
 # recorder's trigger-storm tests under ASan+UBSan and TSan. The CLI
 # test binary also runs under ASan+UBSan: it feeds malformed flags to
-# every serving command.
+# every serving command. So do the LASSO tests, whose solver indexes
+# flat Gram and column buffers by hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -355,7 +356,7 @@ echo
 echo "== tier 1: fault-injection tests under ASan+UBSan =="
 cmake -B build-asan -S . -DCHAOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)" --target test_faults test_net \
-    test_flight test_cli
+    test_flight test_cli test_models
 ./build-asan/tests/test_faults
 
 echo
@@ -377,6 +378,12 @@ echo "== tier 1: CLI tests under ASan+UBSan =="
 # malformed-flag table, the replay commands and an in-process
 # serve --listen + loadgen pair must run clean.
 ./build-asan/tests/test_cli
+
+echo
+echo "== tier 1: LASSO tests under ASan+UBSan =="
+# The covariance-update solver indexes its flat Gram matrix and
+# columns by hand; the oracle comparisons drive every entry point.
+./build-asan/tests/test_models --gtest_filter='Lasso*'
 
 echo
 echo "== tier 1: parallel tests under TSan =="

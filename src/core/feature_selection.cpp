@@ -11,6 +11,7 @@
 #include "oscounters/counter_catalog.hpp"
 #include "stats/correlation.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/result.hpp"
 
 namespace chaos {
@@ -219,58 +220,70 @@ selectClusterFeatures(const Dataset &data,
     panicIf(screened.empty(), "screening removed every counter");
 
     // Distinct machines and workloads present in the data.
-    std::set<int> machine_set(data.machineIds().begin(),
-                              data.machineIds().end());
-    const auto &workload_names = data.workloadNames();
+    const std::set<int> machine_set(data.machineIds().begin(),
+                                    data.machineIds().end());
+    const std::vector<int> machines(machine_set.begin(), machine_set.end());
+    const size_t num_workloads = data.workloadNames().size();
 
-    // --- Steps 3-4: per machine and workload, L1 then stepwise. ---
+    // --- Steps 3-4: per machine and workload, L1 then stepwise. The
+    // slices are independent: they run on the pool and merge in slice
+    // order, so the result is the same for any thread count. ---
     obs::Span slice_span("select.per_machine_slices");
-    LassoSolver lasso;
-    for (int machine : machine_set) {
-        const Dataset machine_data = data.filterMachine(machine);
-        for (const auto &workload : workload_names) {
-            const Dataset slice =
-                machine_data.filterWorkload(workload);
-            if (slice.numRows() < 50)
-                continue;  // Not enough data to screen.
-
-            const auto rows = strideRows(slice.numRows(),
-                                         config.maxScreeningRows);
-            const Dataset sub = slice.selectRows(rows);
-            const Matrix x = sub.features().selectColumns(screened);
-            const auto &y = sub.powerW();
-
+    const LassoSolver lasso;
+    auto records = parallelMap<PerMachineSelection>(
+        machines.size() * num_workloads, [&](size_t k) {
             PerMachineSelection record;
-            record.machineId = machine;
-            record.workload = workload;
+            record.machineId = machines[k / num_workloads];
+            const int workload = static_cast<int>(k % num_workloads);
+            record.workload = data.workloadNames()[workload];
+            std::vector<size_t> slice_rows;
+            for (size_t r = 0; r < data.numRows(); ++r) {
+                if (data.machineIds()[r] == record.machineId &&
+                    data.workloadIds()[r] == workload)
+                    slice_rows.push_back(r);
+            }
+            if (slice_rows.size() < 50)
+                return record;  // Not enough data to screen.
+
+            const auto rows =
+                strideRows(slice_rows.size(), config.maxScreeningRows);
+            Matrix x(rows.size(), screened.size());
+            std::vector<double> y(rows.size());
+            for (size_t i = 0; i < rows.size(); ++i) {
+                const double *row = data.features().rowPtr(slice_rows[rows[i]]);
+                for (size_t j = 0; j < screened.size(); ++j)
+                    x(i, j) = row[screened[j]];
+                y[i] = data.powerW()[slice_rows[rows[i]]];
+            }
 
             // Step 3: L1 regularization discards the bulk.
             lasso_fits.add();
-            const LassoFit fit = lasso.fitWithTargetSupport(
-                x, y, config.lassoMaxSupport);
-            const auto support = fit.support();
+            const auto support =
+                lasso.fitWithTargetSupport(x, y, config.lassoMaxSupport)
+                    .support();
             if (support.empty())
-                continue;
+                return record;
             for (size_t s : support) {
                 record.lassoSelected.push_back(
                     data.featureNames()[screened[s]]);
             }
 
             // Step 4: Wald stepwise on the L1 survivors.
-            std::vector<size_t> support_cols;
-            for (size_t s : support)
-                support_cols.push_back(s);
-            const Matrix xs = x.selectColumns(support_cols);
             StepwiseConfig sw;
             sw.alpha = config.stepwiseAlpha;
             stepwise_runs.add();
-            const StepwiseResult stepped = stepwiseEliminate(xs, y, sw);
-            for (size_t k : stepped.keptFeatures) {
+            const StepwiseResult stepped =
+                stepwiseEliminate(x.selectColumns(support), y, sw);
+            for (size_t kept : stepped.keptFeatures) {
                 record.significant.push_back(
-                    data.featureNames()[screened[support_cols[k]]]);
+                    data.featureNames()[screened[support[kept]]]);
             }
+            return record;
+        });
+    // A slice too small to screen, or whose L1 kept nothing, is skipped.
+    for (PerMachineSelection &record : records) {
+        if (!record.lassoSelected.empty())
             result.perMachine.push_back(std::move(record));
-        }
     }
     slice_span.end();
     panicIf(result.perMachine.empty(),

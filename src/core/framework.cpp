@@ -8,6 +8,8 @@ namespace chaos {
 ClusterCampaign
 collectClusterData(MachineClass mc, const CampaignConfig &config)
 {
+    raiseIf(config.runsPerWorkload == 0,
+            "campaign needs at least one run per workload");
     ClusterCampaign campaign;
     campaign.machineClass = mc;
     campaign.cluster = std::make_unique<Cluster>(Cluster::homogeneous(

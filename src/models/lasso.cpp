@@ -20,6 +20,20 @@ LassoFit::support(double tol) const
 
 namespace {
 
+/**
+ * One problem, standardized once for a whole lambda path. With Z the
+ * standardized design (constant columns all-zero), it holds the Gram
+ * matrix G = Z'Z/n and the target correlations c = Z'(y - ybar)/n:
+ * all a coordinate-descent fit needs at any lambda, in O(p^2) numbers.
+ */
+struct Standardized
+{
+    std::vector<double> mu, sigma;
+    double yMean = 0.0;
+    std::vector<double> gram;   ///< G, p x p row-major.
+    std::vector<double> corr;   ///< c, one per column.
+};
+
 /** Column means and standard deviations of @p x. */
 void
 columnMoments(const Matrix &x, std::vector<double> &mu,
@@ -47,21 +61,48 @@ columnMoments(const Matrix &x, std::vector<double> &mu,
         s = std::sqrt(s / static_cast<double>(n));
 }
 
-/** Standardized copy of @p x; constant columns become all-zero. */
-Matrix
-standardize(const Matrix &x, const std::vector<double> &mu,
-            const std::vector<double> &sigma)
+Standardized
+standardize(const Matrix &x, const std::vector<double> &y)
 {
-    Matrix z(x.rows(), x.cols());
-    for (size_t r = 0; r < x.rows(); ++r) {
-        const double *src = x.rowPtr(r);
-        double *dst = z.rowPtr(r);
-        for (size_t c = 0; c < x.cols(); ++c) {
-            dst[c] = sigma[c] > 1e-12 ? (src[c] - mu[c]) / sigma[c]
+    panicIf(x.rows() != y.size(), "LassoSolver::fit shape mismatch");
+    const size_t n = x.rows();
+    const size_t p = x.cols();
+    panicIf(n == 0 || p == 0, "LassoSolver::fit empty problem");
+
+    Standardized s;
+    columnMoments(x, s.mu, s.sigma);
+    for (double v : y)
+        s.yMean += v;
+    s.yMean /= static_cast<double>(n);
+
+    // Accumulate the upper triangle of G and c row by row, then scale
+    // by 1/n and mirror.
+    s.gram.assign(p * p, 0.0);
+    s.corr.assign(p, 0.0);
+    std::vector<double> z(p);
+    for (size_t r = 0; r < n; ++r) {
+        const double *row = x.rowPtr(r);
+        for (size_t c = 0; c < p; ++c) {
+            z[c] = s.sigma[c] > 1e-12 ? (row[c] - s.mu[c]) / s.sigma[c]
                                       : 0.0;
         }
+        const double yc = y[r] - s.yMean;
+        for (size_t i = 0; i < p; ++i) {
+            s.corr[i] += z[i] * yc;
+            double *g = &s.gram[i * p];
+            for (size_t j = i; j < p; ++j)
+                g[j] += z[i] * z[j];
+        }
     }
-    return z;
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (size_t i = 0; i < p; ++i) {
+        s.corr[i] *= inv_n;
+        for (size_t j = i; j < p; ++j) {
+            s.gram[i * p + j] *= inv_n;
+            s.gram[j * p + i] = s.gram[i * p + j];
+        }
+    }
+    return s;
 }
 
 inline double
@@ -74,55 +115,34 @@ softThreshold(double value, double threshold)
     return 0.0;
 }
 
-} // namespace
-
+/**
+ * Cold-started cyclic coordinate descent by covariance updates. It
+ * keeps g = c - G beta, each column's correlation with the current
+ * residual, so reading a coordinate costs O(1) and moving one costs
+ * O(p) (g -= delta * G[:, c]) instead of O(n) each.
+ */
 LassoFit
-LassoSolver::fit(const Matrix &x, const std::vector<double> &y,
-                 double lambda) const
+solve(const Standardized &s, double lambda, size_t maxSweeps, double tol)
 {
-    panicIf(x.rows() != y.size(), "LassoSolver::fit shape mismatch");
-    panicIf(lambda < 0.0, "LassoSolver::fit negative lambda");
-    const size_t n = x.rows();
-    const size_t p = x.cols();
-    panicIf(n == 0 || p == 0, "LassoSolver::fit empty problem");
-
-    std::vector<double> mu, sigma;
-    columnMoments(x, mu, sigma);
-    const Matrix z = standardize(x, mu, sigma);
-
-    double y_mean = 0.0;
-    for (double v : y)
-        y_mean += v;
-    y_mean /= static_cast<double>(n);
-
-    // Residual starts as centered y; beta at zero.
+    const size_t p = s.corr.size();
     std::vector<double> beta(p, 0.0);
-    std::vector<double> residual(n);
-    for (size_t i = 0; i < n; ++i)
-        residual[i] = y[i] - y_mean;
+    std::vector<double> g = s.corr;
 
-    // With standardized columns, each column's 1/n * z_c'z_c == 1,
-    // so the coordinate update is a soft-threshold of the column-
-    // residual correlation.
     LassoFit result;
     result.lambda = lambda;
-    const double inv_n = 1.0 / static_cast<double>(n);
-
     for (size_t sweep = 0; sweep < maxSweeps; ++sweep) {
         double max_delta = 0.0;
         for (size_t c = 0; c < p; ++c) {
-            if (sigma[c] <= 1e-12)
+            if (s.sigma[c] <= 1e-12)
                 continue;  // Constant column stays at zero.
-            double rho = 0.0;
-            for (size_t i = 0; i < n; ++i)
-                rho += z(i, c) * residual[i];
-            rho = rho * inv_n + beta[c];
-
-            const double updated = softThreshold(rho, lambda);
+            // Standardized columns have G[c][c] == 1, so the update
+            // is a soft-threshold of the column-residual correlation.
+            const double updated = softThreshold(g[c] + beta[c], lambda);
             const double delta = updated - beta[c];
             if (delta != 0.0) {
-                for (size_t i = 0; i < n; ++i)
-                    residual[i] -= delta * z(i, c);
+                const double *column = &s.gram[c * p];
+                for (size_t j = 0; j < p; ++j)
+                    g[j] -= delta * column[j];
                 beta[c] = updated;
                 max_delta = std::max(max_delta, std::fabs(delta));
             }
@@ -134,43 +154,41 @@ LassoSolver::fit(const Matrix &x, const std::vector<double> &y,
 
     // Back-transform to the original scale.
     result.coefficients.assign(p, 0.0);
-    double intercept = y_mean;
+    double intercept = s.yMean;
     for (size_t c = 0; c < p; ++c) {
-        if (sigma[c] > 1e-12) {
-            result.coefficients[c] = beta[c] / sigma[c];
-            intercept -= result.coefficients[c] * mu[c];
+        if (s.sigma[c] > 1e-12) {
+            result.coefficients[c] = beta[c] / s.sigma[c];
+            intercept -= result.coefficients[c] * s.mu[c];
         }
     }
     result.intercept = intercept;
     return result;
 }
 
+/** max |c|: the smallest lambda at which every coefficient is zero. */
+double
+largestCorrelation(const Standardized &s)
+{
+    double best = 0.0;
+    for (double c : s.corr)
+        best = std::max(best, std::fabs(c));
+    return best;
+}
+
+} // namespace
+
+LassoFit
+LassoSolver::fit(const Matrix &x, const std::vector<double> &y,
+                 double lambda) const
+{
+    panicIf(lambda < 0.0, "LassoSolver::fit negative lambda");
+    return solve(standardize(x, y), lambda, maxSweeps, tol);
+}
+
 double
 LassoSolver::lambdaMax(const Matrix &x, const std::vector<double> &y) const
 {
-    const size_t n = x.rows();
-    const size_t p = x.cols();
-    panicIf(n == 0 || p == 0, "lambdaMax on empty problem");
-
-    std::vector<double> mu, sigma;
-    columnMoments(x, mu, sigma);
-
-    double y_mean = 0.0;
-    for (double v : y)
-        y_mean += v;
-    y_mean /= static_cast<double>(n);
-
-    double best = 0.0;
-    for (size_t c = 0; c < p; ++c) {
-        if (sigma[c] <= 1e-12)
-            continue;
-        double rho = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            rho += (x(i, c) - mu[c]) / sigma[c] * (y[i] - y_mean);
-        best = std::max(best, std::fabs(rho) /
-                                  static_cast<double>(n));
-    }
-    return best;
+    return largestCorrelation(standardize(x, y));
 }
 
 LassoFit
@@ -180,9 +198,10 @@ LassoSolver::fitWithTargetSupport(const Matrix &x,
                                   double minRatio) const
 {
     panicIf(maxSupport == 0, "fitWithTargetSupport: zero support");
-    const double top = lambdaMax(x, y);
+    const Standardized s = standardize(x, y);
+    const double top = largestCorrelation(s);
     if (top <= 0.0)
-        return fit(x, y, 0.0);
+        return solve(s, 0.0, maxSweeps, tol);
 
     const double log_top = std::log(top);
     const double log_bottom = std::log(top * minRatio);
@@ -196,7 +215,7 @@ LassoSolver::fitWithTargetSupport(const Matrix &x,
                                 : 0.0;
         const double lambda =
             std::exp(log_top + frac * (log_bottom - log_top));
-        LassoFit current = fit(x, y, lambda);
+        LassoFit current = solve(s, lambda, maxSweeps, tol);
         if (current.support().size() > maxSupport) {
             // Path went one step too dense: return the last fit that
             // respected the cap (or this one if none did).

@@ -3,6 +3,9 @@
  * L1-regularized linear regression (LASSO) by cyclic coordinate
  * descent — step 3 of the paper's Algorithm 1, used to discard
  * irrelevant counters in the high-dimensional screening stage.
+ * Coordinates update through the Gram matrix of the standardized
+ * features (covariance updates, Friedman et al. 2010), formed once
+ * per fit or lambda path, so a coordinate step never touches the rows.
  */
 #ifndef CHAOS_MODELS_LASSO_HPP
 #define CHAOS_MODELS_LASSO_HPP
@@ -26,7 +29,7 @@ struct LassoFit
     std::vector<size_t> support(double tol = 1e-10) const;
 };
 
-/** Cyclic coordinate-descent LASSO solver. */
+/** Cyclic coordinate-descent LASSO solver (covariance updates). */
 class LassoSolver
 {
   public:
@@ -54,7 +57,8 @@ class LassoSolver
      * return the first fit whose support size is at most
      * @p maxSupport (the paper targets on the order of 10 features),
      * preferring the densest such fit. If even the smallest lambda
-     * stays under the cap, that fit is returned.
+     * stays under the cap, that fit is returned. The features are
+     * standardized once for the whole path.
      *
      * @param pathLength Number of lambda values on the path.
      * @param minRatio Smallest lambda as a fraction of lambdaMax.

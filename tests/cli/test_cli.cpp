@@ -538,8 +538,9 @@ TEST(Cli, TopUsageErrors)
 }
 
 /**
- * Malformed numeric flags are user errors: exit 2 with the flag named
- * on stderr, never an uncaught exception or a division by zero.
+ * Malformed numeric flags are user errors: exit 2 with the flag (or
+ * the count the campaign refuses) named on stderr, never an uncaught
+ * exception, a division by zero or an empty dataset.
  */
 TEST(Cli, MalformedNumericFlagsExitTwoNamingTheFlag)
 {
@@ -581,6 +582,11 @@ TEST(Cli, MalformedNumericFlagsExitTwoNamingTheFlag)
         {{"evaluate", data, "--folds", "1"}, "--folds"},
         {{"collect", "Core2", "--out", telemetry, "--scale", ""},
          "--scale"},
+        // Zero counts parse, and the campaign refuses them.
+        {{"collect", "Core2", "--out", telemetry, "--runs", "0"},
+         "at least one run per workload"},
+        {{"collect", "Core2", "--out", telemetry, "--machines", "0"},
+         "at least one machine"},
     };
     for (const auto &c : cases) {
         const CliResult result = run(c.args);

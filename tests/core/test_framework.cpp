@@ -54,6 +54,15 @@ TEST(Framework, CollectWithoutSelectionLeavesSelectionEmpty)
     EXPECT_GT(campaign.data.numRows(), 0u);
 }
 
+TEST(Framework, ZeroRunsPerWorkloadRaises)
+{
+    // A campaign without runs would flatten to a header-only dataset.
+    CampaignConfig config = quickCampaignConfig();
+    config.runsPerWorkload = 0;
+    EXPECT_RAISES(collectClusterData(MachineClass::Atom, config),
+                  "at least one run per workload");
+}
+
 TEST(Framework, DefaultModelDeploysAndPredictsSanely)
 {
     const auto &campaign = core2Campaign();

@@ -1,12 +1,13 @@
 /**
  * @file
  * Determinism of the parallelized training pipeline: every result —
- * fitted MARS bases and coefficients, cross-validated metrics, the
- * pooling comparison — must be identical for any thread count. The
- * pipeline earns this by construction (tasks write only their own
- * output slot; reductions run serially in index order), and these
- * tests pin the contract with exact floating-point comparisons
- * between CHAOS_THREADS=1 and CHAOS_THREADS=8 runs.
+ * Algorithm 1's feature selection, fitted MARS bases and coefficients,
+ * cross-validated metrics, the pooling comparison — must be
+ * identical for any thread count. The pipeline earns this by
+ * construction (tasks write only their own output slot; reductions
+ * run serially in index order), and these tests pin the contract with
+ * exact floating-point comparisons between CHAOS_THREADS=1 and
+ * CHAOS_THREADS=8 runs.
  */
 #include <gtest/gtest.h>
 
@@ -26,6 +27,39 @@ struct ThreadCountGuard
 {
     ~ThreadCountGuard() { setGlobalThreadCount(0); }
 };
+
+TEST(ParallelDeterminism, SelectionIdenticalAcrossThreadCounts)
+{
+    ThreadCountGuard guard;
+    const auto &campaign = core2Campaign();
+    const auto config = quickCampaignConfig().featureSelection;
+
+    setGlobalThreadCount(1);
+    Rng serial_rng(1);
+    const FeatureSelectionResult serial =
+        selectClusterFeatures(campaign.data, config, serial_rng);
+    setGlobalThreadCount(8);
+    Rng parallel_rng(1);
+    const FeatureSelectionResult parallel =
+        selectClusterFeatures(campaign.data, config, parallel_rng);
+
+    EXPECT_EQ(serial.selected, parallel.selected);
+    EXPECT_EQ(serial.histogram, parallel.histogram);
+    EXPECT_EQ(serial.finalThreshold, parallel.finalThreshold);
+    ASSERT_EQ(serial.perMachine.size(), parallel.perMachine.size());
+    for (size_t i = 0; i < serial.perMachine.size(); ++i) {
+        const auto &a = serial.perMachine[i];
+        const auto &b = parallel.perMachine[i];
+        EXPECT_EQ(a.machineId, b.machineId);
+        EXPECT_EQ(a.workload, b.workload);
+        EXPECT_EQ(a.lassoSelected, b.lassoSelected);
+        EXPECT_EQ(a.significant, b.significant);
+    }
+    EXPECT_EQ(serial.catalogSize, parallel.catalogSize);
+    EXPECT_EQ(serial.afterConstantDrop, parallel.afterConstantDrop);
+    EXPECT_EQ(serial.afterCorrelation, parallel.afterCorrelation);
+    EXPECT_EQ(serial.afterCoDependency, parallel.afterCoDependency);
+}
 
 TEST(ParallelDeterminism, EvaluationIdenticalAcrossThreadCounts)
 {
