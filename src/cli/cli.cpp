@@ -365,6 +365,7 @@ cmdCollect(const ParsedArgs &args, std::ostream &out,
     config.run.durationScale = args.number("scale", 1.0);
 
     const MachineClass mc = machineClassFromName(args.positional[1]);
+    validateCampaign(config);
     out << "collecting " << machineClassName(mc) << " x"
         << config.numMachines << ", 4 workloads x "
         << config.runsPerWorkload << " runs...\n";

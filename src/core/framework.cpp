@@ -5,11 +5,19 @@
 
 namespace chaos {
 
+void
+validateCampaign(const CampaignConfig &config)
+{
+    raiseIf(config.numMachines == 0,
+            "campaign needs at least one machine");
+    raiseIf(config.runsPerWorkload == 0,
+            "campaign needs at least one run per workload");
+}
+
 ClusterCampaign
 collectClusterData(MachineClass mc, const CampaignConfig &config)
 {
-    raiseIf(config.runsPerWorkload == 0,
-            "campaign needs at least one run per workload");
+    validateCampaign(config);
     ClusterCampaign campaign;
     campaign.machineClass = mc;
     campaign.cluster = std::make_unique<Cluster>(Cluster::homogeneous(

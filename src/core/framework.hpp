@@ -42,9 +42,16 @@ struct ClusterCampaign
 };
 
 /**
+ * Refuse a campaign that cannot produce a dataset (no machines, or no
+ * runs per workload) by raising RecoverableError.
+ */
+void validateCampaign(const CampaignConfig &config);
+
+/**
  * Collect traces for one homogeneous cluster: build the cluster, run
  * every standard workload runsPerWorkload times, and flatten the
  * logs. Feature selection is NOT run (see runClusterCampaign).
+ * Raises RecoverableError where validateCampaign() does.
  */
 ClusterCampaign collectClusterData(MachineClass mc,
                                    const CampaignConfig &config);

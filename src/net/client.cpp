@@ -45,21 +45,20 @@ IngestClient::send(std::uint64_t tick, const std::string &machineId,
                 "net: ack window stalled (server not acking)");
     }
 
-    SampleFrame sample;
-    sample.tick = tick;
-    sample.machineId = machineId;
-    sample.hasMetered = !std::isnan(meteredW);
-    sample.meteredW = meteredW;
-    sample.row.assign(row, row + rowSize);
-
+    const bool hasMetered = !std::isnan(meteredW);
     if (cfg.jsonl) {
         Frame out;
         out.type = FrameType::Sample;
-        out.sample = std::move(sample);
+        out.sample.tick = tick;
+        out.sample.machineId = machineId;
+        out.sample.hasMetered = hasMetered;
+        out.sample.meteredW = meteredW;
+        out.sample.row.assign(row, row + rowSize);
         const std::string line = encodeJsonl(out);
         outBuf.insert(outBuf.end(), line.begin(), line.end());
     } else {
-        encodeSample(sample, outBuf);
+        encodeSample(tick, machineId, hasMetered, meteredW, row, rowSize,
+                     outBuf);
     }
     if (outBuf.size() >= cfg.coalesceBytes)
         flushSendBuffer();

@@ -449,52 +449,28 @@ ChaosIngestServer::handleSample(Connection &conn,
 void
 ChaosIngestServer::queueCredit(Connection &conn)
 {
-    CreditFrame credit;
-    credit.acceptedTotal = conn.acceptedTotal;
-    credit.rejectedTotal = conn.rejectedTotal;
-    credit.granted = static_cast<std::uint32_t>(
+    Frame frame;
+    frame.type = FrameType::Credit;
+    frame.credit.acceptedTotal = conn.acceptedTotal;
+    frame.credit.rejectedTotal = conn.rejectedTotal;
+    frame.credit.granted = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(conn.sinceCredit, 0xffffffffu));
     conn.sinceCredit = 0;
     credits.fetch_add(1);
     NetMetrics::get().credits.add();
-
-    Frame frame;
-    frame.type = FrameType::Credit;
-    frame.credit = credit;
-    if (conn.reader.jsonlMode()) {
-        const std::string line = encodeJsonl(frame);
-        queueBytes(conn,
-                   reinterpret_cast<const std::uint8_t *>(line.data()),
-                   line.size());
-    } else {
-        std::vector<std::uint8_t> buf;
-        encodeCredit(credit, buf);
-        queueBytes(conn, buf.data(), buf.size());
-    }
+    queueFrame(conn, frame);
 }
 
 void
 ChaosIngestServer::queueNack(Connection &conn, NackReason reason)
 {
-    NackFrame nack;
-    nack.rejectedTotal = conn.rejectedTotal;
-    nack.reason = reason;
-    nacks.fetch_add(1);
-    NetMetrics::get().nacks.add();
-
     Frame frame;
     frame.type = FrameType::Nack;
-    frame.nack = nack;
-    if (conn.reader.jsonlMode()) {
-        const std::string line = encodeJsonl(frame);
-        queueBytes(conn,
-                   reinterpret_cast<const std::uint8_t *>(line.data()),
-                   line.size());
-    } else {
-        std::vector<std::uint8_t> buf;
-        encodeNack(nack, buf);
-        queueBytes(conn, buf.data(), buf.size());
-    }
+    frame.nack.rejectedTotal = conn.rejectedTotal;
+    frame.nack.reason = reason;
+    nacks.fetch_add(1);
+    NetMetrics::get().nacks.add();
+    queueFrame(conn, frame);
 }
 
 void
@@ -507,16 +483,7 @@ ChaosIngestServer::queueSnapshot(Connection &conn, std::uint64_t seq)
     frame.type = FrameType::Snapshot;
     frame.snapshot.seq = seq;
     frame.snapshot.json = buildIntrospectJson();
-    if (conn.reader.jsonlMode()) {
-        const std::string line = encodeJsonl(frame);
-        queueBytes(conn,
-                   reinterpret_cast<const std::uint8_t *>(line.data()),
-                   line.size());
-    } else {
-        std::vector<std::uint8_t> buf;
-        encodeSnapshot(frame.snapshot, buf);
-        queueBytes(conn, buf.data(), buf.size());
-    }
+    queueFrame(conn, frame);
 }
 
 std::string
@@ -550,9 +517,7 @@ ChaosIngestServer::buildIntrospectJson() const
 }
 
 void
-ChaosIngestServer::queueBytes(Connection &conn,
-                              const std::uint8_t *data,
-                              std::size_t size)
+ChaosIngestServer::queueFrame(Connection &conn, const Frame &frame)
 {
     // Compact the consumed prefix before growing.
     if (conn.outPos > 0 && conn.outPos == conn.outBuf.size()) {
@@ -565,7 +530,26 @@ ChaosIngestServer::queueBytes(Connection &conn,
                               static_cast<std::ptrdiff_t>(conn.outPos));
         conn.outPos = 0;
     }
-    conn.outBuf.insert(conn.outBuf.end(), data, data + size);
+    if (conn.reader.jsonlMode()) {
+        const std::string line = encodeJsonl(frame);
+        conn.outBuf.insert(conn.outBuf.end(), line.begin(), line.end());
+        return;
+    }
+    // The binary encoders append straight to the send buffer.
+    switch (frame.type) {
+      case FrameType::Credit:
+        encodeCredit(frame.credit, conn.outBuf);
+        break;
+      case FrameType::Nack:
+        encodeNack(frame.nack, conn.outBuf);
+        break;
+      case FrameType::Snapshot:
+        encodeSnapshot(frame.snapshot, conn.outBuf);
+        break;
+      case FrameType::Sample:
+      case FrameType::Introspect:
+        break; // Client-to-server frames; the server never sends them.
+    }
 }
 
 bool

@@ -184,8 +184,8 @@ class ChaosIngestServer
     std::string buildIntrospectJson() const;
     void queueCredit(Connection &conn);
     void queueNack(Connection &conn, NackReason reason);
-    void queueBytes(Connection &conn, const std::uint8_t *data,
-                    std::size_t size);
+    /** Append @p frame to the connection's send buffer. */
+    void queueFrame(Connection &conn, const Frame &frame);
     /** @return false when the connection was closed. */
     bool flushWrites(Connection &conn);
     void closeConnection(Connection &conn, const std::string &reason,

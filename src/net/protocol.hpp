@@ -160,11 +160,32 @@ struct Frame
     SnapshotFrame snapshot;
 };
 
-/** CRC-32 (IEEE 802.3 polynomial) of @p data; seedable for chaining. */
+/**
+ * CRC-32 (IEEE 802.3 polynomial) of @p data; seedable for chaining:
+ * crc32(a‖b) == crc32(b, crc32(a)). Runs detail::crc32Folded where
+ * the CPU supports it, else detail::crc32Table: the same checksum.
+ */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size,
                     std::uint32_t seed = 0);
 
+namespace detail {
+/** Slice-by-8 table CRC-32: the portable path. */
+std::uint32_t crc32Table(const std::uint8_t *data, std::size_t size,
+                         std::uint32_t seed = 0);
+/** True when this CPU can run crc32Folded (x86 PCLMULQDQ + SSE4.1). */
+bool crc32FoldedSupported();
+/** Carry-less-multiply folded CRC-32 (its tail takes the table loop). */
+std::uint32_t crc32Folded(const std::uint8_t *data, std::size_t size,
+                          std::uint32_t seed = 0);
+} // namespace detail
+
 // ---- Encoding (appends to @p out, returns bytes appended) ----------
+
+/** Append one binary Sample frame straight from the caller's row. */
+std::size_t encodeSample(std::uint64_t tick, const std::string &machineId,
+                         bool hasMetered, double meteredW,
+                         const double *row, std::size_t rowSize,
+                         std::vector<std::uint8_t> &out);
 
 /** Append one binary Sample frame. */
 std::size_t encodeSample(const SampleFrame &frame,

@@ -202,9 +202,10 @@ EstimatorRegistry::add(const std::string &machineId,
     if (config.sourceLabel.empty())
         config.sourceLabel = machineId;
 
-    Shard &shard = shards[shardOf(machineId)];
+    const std::size_t shardIndex = shardOf(machineId);
+    Shard &shard = shards[shardIndex];
     auto entry = std::make_unique<MachineEntry>(
-        machineId, std::move(model), std::move(config));
+        machineId, shardIndex, std::move(model), std::move(config));
 
     std::lock_guard<std::mutex> lock(shard.mu);
     auto [it, inserted] =

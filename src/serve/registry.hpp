@@ -45,14 +45,17 @@ namespace chaos::serve {
 class MachineEntry
 {
   public:
-    MachineEntry(std::string machineId, MachinePowerModel model,
-                 OnlineEstimatorConfig config)
-        : id_(std::move(machineId)),
+    MachineEntry(std::string machineId, std::size_t shard,
+                 MachinePowerModel model, OnlineEstimatorConfig config)
+        : id_(std::move(machineId)), shard_(shard),
           estimator_(std::move(model), std::move(config))
     {}
 
     /** The machine id this entry was registered under. */
     const std::string &id() const { return id_; }
+
+    /** EstimatorRegistry::shardOf(id()), fixed at registration. */
+    std::size_t shard() const { return shard_; }
 
     /**
      * Run @p fn with exclusive access to the estimator. All estimator
@@ -221,6 +224,7 @@ class MachineEntry
     };
 
     std::string id_;
+    std::size_t shard_;
     std::mutex mu_;
     OnlinePowerEstimator estimator_;
     void *observerState_ = nullptr;

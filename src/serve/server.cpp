@@ -185,15 +185,24 @@ FleetServer::offer(MachineEntry &entry, const double *catalogRow,
                    std::size_t rowSize, double meteredW,
                    std::uint64_t ingestNs)
 {
-    QueueShard &shard = *queueShards[registry.shardOf(entry.id())];
+    QueueShard &shard = *queueShards[entry.shard()];
     if (ingestNs == 0)
         ingestNs = stageStampNs();
     // Count before the push so waitIdle's submitted >= queued +
     // processed + dropped invariant holds at every instant; undo on
     // refusal (the transient overcount only makes waitIdle wait).
     submittedCount.fetch_add(1);
-    if (!shard.queue.tryPush(&entry, catalogRow, rowSize, meteredW,
-                             ingestNs)) {
+    bool pushed = shard.queue.tryPush(&entry, catalogRow, rowSize,
+                                      meteredW, ingestNs);
+    if (!pushed && running()) {
+        // The drainer fell behind (descheduled, say): one pass on this
+        // thread turns its stall into producer slowdown, and only an
+        // overload that the pass cannot clear is refused.
+        drainOnce();
+        pushed = shard.queue.tryPush(&entry, catalogRow, rowSize,
+                                     meteredW, ingestNs);
+    }
+    if (!pushed) {
         submittedCount.fetch_sub(1);
         return false;
     }
@@ -205,7 +214,7 @@ void
 FleetServer::enqueue(MachineEntry &entry, const double *catalogRow,
                      std::size_t rowSize, double meteredW)
 {
-    QueueShard &shard = *queueShards[registry.shardOf(entry.id())];
+    QueueShard &shard = *queueShards[entry.shard()];
     // Count the submission before the push: waitIdle() can then rely
     // on submitted >= (queued + processed + dropped) at all times.
     submittedCount.fetch_add(1);

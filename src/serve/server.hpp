@@ -224,7 +224,9 @@ class FleetServer
      * explicitly instead of silently sacrificing the oldest queued
      * sample. A refused sample never enters the server's accounting:
      * submitted/processed/dropped cover accepted samples only, and
-     * the caller owns the refusal (NACK, retry, shed).
+     * the caller owns the refusal (NACK, retry, shed). While the
+     * drainer runs, a full queue first gets one drainOnce() pass on
+     * the calling thread, and only a queue still full is refused.
      *
      * @return True when the sample was enqueued.
      *

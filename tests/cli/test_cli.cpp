@@ -551,6 +551,7 @@ TEST(Cli, MalformedNumericFlagsExitTwoNamingTheFlag)
     {
         std::vector<std::string> args;
         const char *flag;
+        bool silentOut = false; ///< Refused before any banner.
     } cases[] = {
         {{"serve", "--listen", "0", "--shards", "abc"}, "--shards"},
         {{"serve", "--listen", "70000"}, "--listen"},
@@ -584,15 +585,20 @@ TEST(Cli, MalformedNumericFlagsExitTwoNamingTheFlag)
          "--scale"},
         // Zero counts parse, and the campaign refuses them.
         {{"collect", "Core2", "--out", telemetry, "--runs", "0"},
-         "at least one run per workload"},
+         "at least one run per workload",
+         true},
         {{"collect", "Core2", "--out", telemetry, "--machines", "0"},
-         "at least one machine"},
+         "at least one machine",
+         true},
     };
     for (const auto &c : cases) {
         const CliResult result = run(c.args);
         EXPECT_EQ(result.code, 2) << c.flag;
         EXPECT_NE(result.err.find(c.flag), std::string::npos)
             << c.flag << ": " << result.err;
+        if (c.silentOut) {
+            EXPECT_EQ(result.out, "") << c.flag;
+        }
     }
     std::remove(telemetry.c_str());
 }

@@ -6,6 +6,7 @@
  * frames, none of which may crash the decoder or yield an accepted
  * sample that differs from what was sent.
  */
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "../support/raises.hpp"
+#include "../support/reference_crc32.hpp"
 #include "net/protocol.hpp"
 #include "util/random.hpp"
 #include "util/result.hpp"
@@ -51,6 +53,81 @@ TEST(Protocol, Crc32KnownAnswer)
     const char *text = "123456789";
     EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(text), 9),
               0xCBF43926u);
+}
+
+/**
+ * Compare @p crc with the bitwise reference on every length 0..4096
+ * at each of 16 alignments: 65,552 cases, with fresh random bytes and
+ * a random seed per alignment (seed 0 at alignment 0). The reference
+ * advances one byte per length, so the sweep costs the code under
+ * test, not the oracle.
+ */
+void
+expectCrcMatchesReference(std::uint32_t (*crc)(const std::uint8_t *,
+                                               std::size_t,
+                                               std::uint32_t),
+                          std::uint64_t rngSeed)
+{
+    constexpr std::size_t kMaxLen = 4096;
+    Rng rng(rngSeed);
+    std::vector<std::uint8_t> buf(kMaxLen + 16);
+    int mismatches = 0;
+    for (std::size_t align = 0; align < 16; ++align) {
+        for (std::uint8_t &b : buf)
+            b = static_cast<std::uint8_t>(rng.nextU64());
+        const std::uint32_t seed =
+            align == 0 ? 0 : static_cast<std::uint32_t>(rng.nextU64());
+        const std::uint8_t *data = buf.data() + align;
+        std::uint32_t expected = seed; // The CRC of no bytes.
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const std::uint32_t got = crc(data, len, seed);
+            if (got != expected && ++mismatches <= 5) {
+                ADD_FAILURE() << "align " << align << " len " << len
+                              << ": got " << got << ", want "
+                              << expected;
+            }
+            if (len < kMaxLen) {
+                expected = testing_support::referenceCrc32(
+                    data + len, 1, expected);
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Protocol, Crc32TableMatchesBitwiseReference)
+{
+    expectCrcMatchesReference(detail::crc32Table, 101);
+}
+
+TEST(Protocol, Crc32FoldedMatchesBitwiseReference)
+{
+    if (!detail::crc32FoldedSupported())
+        GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+    expectCrcMatchesReference(detail::crc32Folded, 103);
+}
+
+TEST(Protocol, Crc32ChainsAcrossSplits)
+{
+    // crc32(a‖b) == crc32(b, crc32(a)) wherever the split falls,
+    // including splits that leave either side under one 64-byte fold
+    // block or off a 16-byte boundary.
+    Rng rng(107);
+    std::vector<std::uint8_t> buf(4096);
+    for (int iter = 0; iter < 400; ++iter) {
+        const std::size_t len = rng.uniformInt(buf.size() + 1);
+        for (std::size_t i = 0; i < len; ++i)
+            buf[i] = static_cast<std::uint8_t>(rng.nextU64());
+        const std::size_t cut = rng.uniformInt(len + 1);
+        const std::uint32_t whole = crc32(buf.data(), len);
+        ASSERT_EQ(whole,
+                  testing_support::referenceCrc32(buf.data(), len))
+            << "len " << len;
+        EXPECT_EQ(crc32(buf.data() + cut, len - cut,
+                        crc32(buf.data(), cut)),
+                  whole)
+            << "len " << len << " cut " << cut;
+    }
 }
 
 TEST(Protocol, SampleRoundTripIsBitwise)
@@ -517,6 +594,163 @@ TEST(Protocol, SnapshotDecodeRejectsNonJsonPayload)
     EXPECT_EQ(jres.status, DecodeStatus::Error);
     EXPECT_NE(jres.error.find("not JSON"), std::string::npos)
         << jres.error;
+}
+
+/** splitmix64: the golden corpus's own generator, fixed forever. */
+std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/** FNV-1a 64 of @p bytes: a digest that shares nothing with crc32. */
+std::uint64_t
+fnv1a64(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes)
+        h = (h ^ b) * 0x100000001b3ull;
+    return h;
+}
+
+std::string
+hex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (const std::uint8_t b : bytes) {
+        out += digits[b >> 4];
+        out += digits[b & 0xF];
+    }
+    return out;
+}
+
+/**
+ * The golden corpus: 300 rounds of one Sample frame (row 0..399 wide,
+ * every 7th row empty, every 5th metered value NaN, every 11th id the
+ * full 256 bytes; row values are arbitrary bit patterns, NaN payloads
+ * included) followed by one Credit, Nack, Introspect and Snapshot
+ * frame. All values come from splitmix64, not from chaos::Rng, so the
+ * corpus depends on nothing but the encoders.
+ */
+std::vector<std::uint8_t>
+goldenCorpus()
+{
+    std::uint64_t state = 2012;
+    const auto next = [&] { return splitmix64(state); };
+    std::vector<std::uint8_t> wire;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        SampleFrame sample;
+        sample.tick = next();
+        sample.machineId =
+            i % 11 == 0
+                ? std::string(kMaxMachineIdLen,
+                              static_cast<char>('a' + i % 26))
+                : "m" + std::to_string(next() % 100000);
+        sample.hasMetered = i % 3 != 0;
+        sample.meteredW =
+            i % 5 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                       : std::bit_cast<double>(next());
+        sample.row.resize(i % 7 == 0 ? 0 : next() % 400);
+        for (double &v : sample.row)
+            v = std::bit_cast<double>(next());
+        encodeSample(sample, wire);
+
+        CreditFrame credit;
+        credit.acceptedTotal = next();
+        credit.rejectedTotal = next();
+        credit.granted = static_cast<std::uint32_t>(next());
+        encodeCredit(credit, wire);
+
+        NackFrame nack;
+        nack.rejectedTotal = next();
+        nack.reason = static_cast<NackReason>(1 + i % 3);
+        encodeNack(nack, wire);
+
+        IntrospectFrame ask;
+        ask.seq = next();
+        encodeIntrospect(ask, wire);
+
+        SnapshotFrame reply;
+        reply.seq = next();
+        reply.json = "{\"round\": " + std::to_string(i) +
+                     ", \"pad\": \"" + std::string(next() % 64, 'x') +
+                     "\"}";
+        encodeSnapshot(reply, wire);
+    }
+    return wire;
+}
+
+TEST(Protocol, GoldenWireBytes)
+{
+    // Pinned from the byte-at-a-time encoder that first shipped this
+    // protocol: any codec change that moves one byte fails here.
+    const std::vector<std::uint8_t> corpus = goldenCorpus();
+    EXPECT_EQ(corpus.size(), 487509u);
+    EXPECT_EQ(fnv1a64(corpus), 1769097846151846677ull);
+
+    std::vector<std::uint8_t> wire;
+    SampleFrame sample;
+    sample.tick = 3;
+    sample.machineId = "m0";
+    sample.hasMetered = true;
+    sample.meteredW = 93.5;
+    sample.row = {1.0, -2.5};
+    encodeSample(sample, wire);
+    EXPECT_EQ(hex(wire),
+              "4357010127000000a88de878" // Header, 39-byte payload.
+              "0300000000000000"         // tick 3
+              "02006d30"                 // id "m0"
+              "01" "0000000000605740"    // metered 93.5
+              "0200" "000000000000f03f"  // row [1.0,
+              "00000000000004c0");       //      -2.5]
+
+    wire.clear();
+    SampleFrame empty;
+    empty.tick = 4;
+    empty.machineId = "m1";
+    encodeSample(empty, wire); // Unmetered (NaN), empty row.
+    EXPECT_EQ(hex(wire),
+              "4357010117000000a0cdb197" // Header, 23-byte payload.
+              "0400000000000000"         // tick 4
+              "02006d31"                 // id "m1"
+              "00" "000000000000f87f"    // unmetered, NaN
+              "0000");                   // row []
+
+    wire.clear();
+    encodeCredit(CreditFrame{10, 2, 12}, wire);
+    EXPECT_EQ(hex(wire), "4357010214000000835e023f"
+                         "0a00000000000000" "0200000000000000"
+                         "0c000000");
+
+    wire.clear();
+    encodeNack(NackFrame{2, NackReason::UnknownMachine}, wire);
+    EXPECT_EQ(hex(wire), "435701030900000096be2455"
+                         "0200000000000000" "02");
+
+    wire.clear();
+    encodeIntrospect(IntrospectFrame{7}, wire);
+    EXPECT_EQ(hex(wire), "4357010408000000c08dc480"
+                         "0700000000000000");
+
+    wire.clear();
+    encodeSnapshot(SnapshotFrame{7, "{}"}, wire);
+    EXPECT_EQ(hex(wire), "435701050a0000001108c0a3"
+                         "0700000000000000" "7b7d");
+
+    // The corpus decodes back frame for frame.
+    FrameReader reader;
+    reader.append(corpus.data(), corpus.size());
+    Frame out;
+    std::size_t frames = 0;
+    while (reader.next(out) == DecodeStatus::Ok)
+        ++frames;
+    EXPECT_TRUE(reader.error().empty()) << reader.error();
+    EXPECT_EQ(frames, 300u * 5);
+    EXPECT_EQ(reader.buffered(), 0u);
 }
 
 } // namespace

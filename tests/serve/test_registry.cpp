@@ -73,6 +73,18 @@ TEST(EstimatorRegistry, ShardingIsStableAndInRange)
     EXPECT_EQ(single.shardOf("anything"), 0u);
 }
 
+TEST(EstimatorRegistry, EntryCachesItsShard)
+{
+    // Producers route by entry.shard(), never re-hashing the id, so
+    // the cached index must be the one shardOf gives.
+    EstimatorRegistry registry(7);
+    for (int i = 0; i < 64; ++i)
+        registry.add("machine" + std::to_string(i), makeTestModel(1));
+    for (const MachineEntry *entry : registry.entriesById())
+        EXPECT_EQ(entry->shard(), registry.shardOf(entry->id()))
+            << entry->id();
+}
+
 TEST(EstimatorRegistry, SwapModelRequiresKnownMachine)
 {
     EstimatorRegistry registry(2);

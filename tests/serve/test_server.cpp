@@ -241,6 +241,31 @@ TEST(FleetServer, DropCountsAreAttributedPerMachine)
     EXPECT_EQ(snap.samplesDropped, 6u);
 }
 
+TEST(FleetServer, OfferDrainsForALaggingDrainerInsteadOfRefusing)
+{
+    // A 4-deep queue behind a drainer that sleeps whenever it finds
+    // the queue empty: a tight producer fills it at once. offer() then
+    // runs a drain pass on the producer's thread, so one producer is
+    // never refused, and every sample is evaluated exactly once.
+    FleetServerConfig config;
+    config.numShards = 1;
+    config.queueCapacity = 4;
+    FleetServer server(config);
+    MachineEntry &entry = server.addMachine("m0", makeTestModel(3));
+    server.start();
+    const std::vector<double> row = catalogRow(5.0, 10.0);
+    const std::size_t samples = 2000;
+    std::size_t refused = 0;
+    for (std::size_t i = 0; i < samples; ++i)
+        refused += server.offer(entry, row.data(), row.size()) ? 0 : 1;
+    server.stop();
+    EXPECT_EQ(refused, 0u);
+    EXPECT_EQ(server.submitted(), samples);
+    EXPECT_EQ(server.processed(), samples);
+    EXPECT_EQ(server.dropped(), 0u);
+    EXPECT_EQ(server.snapshot().machines.at(0).samples, samples);
+}
+
 TEST(FleetServer, SubmitToUnknownMachineRaises)
 {
     FleetServer server;
